@@ -28,22 +28,8 @@ from .analysis import (
     error_stats,
     flux_error_stats,
 )
-from .assembly import (
-    BemSystem,
-    assemble,
-    element_g_contributions,
-    element_h_contributions,
-    free_term,
-)
-from .geometry import (
-    BoundaryMesh,
-    InteriorGrid,
-    discretize_circle,
-    element_jacobian,
-    element_normal,
-    element_point,
-    interior_grid,
-)
+from .assembly import BemSystem, assemble, free_term
+from .geometry import BoundaryMesh, InteriorGrid, discretize_circle, interior_grid
 from .kernels import (
     SingularKernelError,
     fundamental_flux,
@@ -53,12 +39,10 @@ from .kernels import (
 from .problems import PROBLEM_IDS, TestProblem, constant_problem, get_problem
 from .quadrature import (
     MAX_ORDER,
-    IntegrationError,
     QuadratureRule,
     basis_end,
     basis_start,
     gauss_legendre,
-    integrate,
     singular_g_pair,
     singular_log_moments,
 )
@@ -70,7 +54,6 @@ from .solver import (
     SolveError,
     evaluate_field,
     evaluate_interior,
-    near_boundary,
     solve_flux,
 )
 
@@ -83,7 +66,6 @@ __all__ = [
     "ConvergenceRow",
     "ErrorStats",
     "FieldReport",
-    "IntegrationError",
     "InteriorGrid",
     "MAX_ORDER",
     "PIVOT_THRESHOLD",
@@ -99,11 +81,6 @@ __all__ = [
     "constant_problem",
     "convergence_study",
     "discretize_circle",
-    "element_g_contributions",
-    "element_h_contributions",
-    "element_jacobian",
-    "element_normal",
-    "element_point",
     "empirical_orders",
     "error_stats",
     "evaluate_field",
@@ -114,9 +91,7 @@ __all__ = [
     "fundamental_solution",
     "gauss_legendre",
     "get_problem",
-    "integrate",
     "interior_grid",
-    "near_boundary",
     "normal_flux",
     "singular_g_pair",
     "singular_log_moments",

@@ -8,8 +8,8 @@ identity at every node gives
 where q is the unknown outward normal flux, H accumulates flux-kernel element
 integrals, G accumulates potential-kernel element integrals, and the free term
 c is the interior-angle fraction of the polygon vertex.  For the regular n-gon
-every vertex angle is pi*(n-2)/n, hence c = (n-2)/(2n), which is why assembly
-insists on the uniform circle mesh.
+every vertex angle is pi*(n-2)/n, hence c = (n-2)/(2n); ``BoundaryMesh`` can
+only be that polygon.
 
 Element integrals are regular Gauss-Legendre quadratures except where the
 collocation node is an endpoint of the element:
@@ -26,28 +26,16 @@ bitwise identical.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BoundaryMesh
+from .kernels import _flux, _potential
 from .problems import TestProblem
 from .quadrature import QuadratureRule, basis_end, basis_start, singular_g_pair
 
-__all__ = [
-    "BemSystem",
-    "free_term",
-    "element_h_contributions",
-    "element_g_contributions",
-    "assemble",
-]
-
-_TWO_PI = 2.0 * np.pi
-
-# Distance below which a source point is snapped to an element endpoint and
-# the integral is treated as singular.
-ENDPOINT_SNAP = 1e-12
+__all__ = ["BemSystem", "free_term", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -82,23 +70,7 @@ def free_term(n: int) -> float:
     return (n - 2) / (2.0 * n)
 
 
-# ----------------------------------------------------------------------
-# element frames and regular-quadrature contributions
-# ----------------------------------------------------------------------
-
-
-def _frames(nodes: np.ndarray):
-    """Midpoints, half-chords, jacobians and outward normals of all elements."""
-    nxt = np.roll(nodes, -1, axis=0)
-    mids = 0.5 * (nodes + nxt)
-    halves = 0.5 * (nxt - nodes)
-    jacs = np.hypot(halves[:, 0], halves[:, 1])
-    deltas = nxt - nodes
-    normals = np.column_stack([deltas[:, 1], -deltas[:, 0]]) / (2.0 * jacs[:, np.newaxis])
-    return mids, halves, jacs, normals
-
-
-def _regular_rows(nodes: np.ndarray, source: np.ndarray, rule: QuadratureRule):
+def _regular_rows(mesh: BoundaryMesh, source: np.ndarray, rule: QuadratureRule):
     """Gauss contributions of every element to the collocation row at ``source``.
 
     Returns (h_start, h_end, g_start, g_end), each of shape (n,): the flux and
@@ -106,108 +78,21 @@ def _regular_rows(nodes: np.ndarray, source: np.ndarray, rule: QuadratureRule):
     and second node.  Elements that contain ``source`` as an endpoint come out
     finite but meaningless here; ``assemble`` overwrites them.
     """
-    mids, halves, jacs, normals = _frames(nodes)
     t = rule.points
-    field = mids[np.newaxis, :, :] + t[:, np.newaxis, np.newaxis] * halves[np.newaxis, :, :]
+    halves = mesh.halves[np.newaxis, :, :]
+    field = mesh.midpoints[np.newaxis, :, :] + t[:, np.newaxis, np.newaxis] * halves
     diff = field - source[np.newaxis, np.newaxis, :]
     r2 = np.sum(diff * diff, axis=-1)
-    toward_normal = np.einsum("tej,ej->te", diff, normals)
-    flux = -toward_normal / (_TWO_PI * r2)
-    potential = -0.25 * np.log(r2) / np.pi
+    flux = _flux(np.einsum("tej,ej->te", diff, mesh.normals), r2)
+    potential = _potential(r2)
     w_start = (rule.weights * basis_start(t))[:, np.newaxis]
     w_end = (rule.weights * basis_end(t))[:, np.newaxis]
+    jacs = mesh.jacobians
     h_start = jacs * np.sum(flux * w_start, axis=0)
     h_end = jacs * np.sum(flux * w_end, axis=0)
     g_start = jacs * np.sum(potential * w_start, axis=0)
     g_end = jacs * np.sum(potential * w_end, axis=0)
     return h_start, h_end, g_start, g_end
-
-
-def _single_element(mesh: BoundaryMesh, i: int):
-    n = mesh.n
-    if not 0 <= i < n:
-        raise IndexError(f"element index {i} out of range for {n} elements")
-    first = mesh.nodes[i]
-    second = mesh.nodes[(i + 1) % n]
-    return first, second
-
-
-def _check_regular_source(first, second, source, what: str) -> None:
-    """Reject endpoint sources and warn when the source sits on the open chord."""
-    source = np.asarray(source, dtype=float)
-    if np.hypot(*(source - first)) <= ENDPOINT_SNAP or np.hypot(*(source - second)) <= ENDPOINT_SNAP:
-        raise ValueError(
-            f"{what}: source coincides with an element endpoint; "
-            "use the singular closed form instead"
-        )
-    chord = second - first
-    rel = source - first
-    span2 = float(chord @ chord)
-    s = float(rel @ chord) / span2
-    perp = float(np.hypot(*(rel - s * chord)))
-    if 0.0 < s < 1.0 and perp <= ENDPOINT_SNAP:
-        warnings.warn(
-            f"{what}: source lies on the element chord; the quadrature is "
-            "near-singular and the result may lose accuracy",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def element_h_contributions(
-    mesh: BoundaryMesh, i: int, source, rule: QuadratureRule
-) -> tuple[float, float]:
-    """Flux-kernel integrals of element i against a collocation point.
-
-    Returns the pair destined for the element's first and second node.  The
-    source must not be an element endpoint: that case is identically zero by
-    chord-normal orthogonality, and the caller is expected to write the zeros.
-    """
-    first, second = _single_element(mesh, i)
-    _check_regular_source(first, second, source, "element_h_contributions")
-    pair = np.vstack([first, second])
-    h_start, h_end, _, _ = _regular_rows(pair, np.asarray(source, dtype=float), rule)
-    return float(h_start[0]), float(h_end[0])
-
-
-def element_g_contributions(
-    mesh: BoundaryMesh, i: int, source, rule: QuadratureRule
-) -> tuple[float, float]:
-    """Potential-kernel integrals of element i against a collocation point.
-
-    If the source coincides with an element endpoint (within 1e-12) the
-    closed-form singular pair is used, with the shape function peaking at the
-    singular endpoint taking the near value.  Otherwise regular quadrature.
-    """
-    first, second = _single_element(mesh, i)
-    source = np.asarray(source, dtype=float)
-    length = float(np.hypot(*(second - first)))
-    if np.hypot(*(source - first)) <= ENDPOINT_SNAP:
-        g_near, g_far = singular_g_pair(length)
-        return g_near, g_far
-    if np.hypot(*(source - second)) <= ENDPOINT_SNAP:
-        g_near, g_far = singular_g_pair(length)
-        return g_far, g_near
-    _check_regular_source(first, second, source, "element_g_contributions")
-    pair = np.vstack([first, second])
-    _, _, g_start, g_end = _regular_rows(pair, source, rule)
-    return float(g_start[0]), float(g_end[0])
-
-
-# ----------------------------------------------------------------------
-# full system assembly
-# ----------------------------------------------------------------------
-
-
-def _require_uniform_circle(mesh: BoundaryMesh) -> None:
-    """The free-term formula is a vertex-angle statement about the regular n-gon."""
-    radii = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    if np.any(np.abs(radii - 1.0) > 1e-9):
-        raise ValueError("assembly requires nodes on the unit circle")
-    chords = np.hypot(*(np.roll(mesh.nodes, -1, axis=0) - mesh.nodes).T)
-    expected = 2.0 * np.sin(np.pi / mesh.n)
-    if np.any(np.abs(chords - expected) > 1e-9):
-        raise ValueError("assembly requires equally spaced circle nodes")
 
 
 def assemble(mesh: BoundaryMesh, problem: TestProblem, rule: QuadratureRule) -> BemSystem:
@@ -218,17 +103,16 @@ def assemble(mesh: BoundaryMesh, problem: TestProblem, rule: QuadratureRule) -> 
     and their G contributions come from ``singular_g_pair``.  All remaining
     elements are integrated with ``rule``.
     """
-    _require_uniform_circle(mesh)
     nodes = mesh.nodes
     n = mesh.n
-    lengths = 2.0 * _frames(nodes)[2]
+    lengths = 2.0 * mesh.jacobians
     element = np.arange(n)
     successor = (element + 1) % n
 
     H = np.zeros((n, n))
     G = np.zeros((n, n))
     for k in range(n):
-        h_start, h_end, g_start, g_end = _regular_rows(nodes, nodes[k], rule)
+        h_start, h_end, g_start, g_end = _regular_rows(mesh, nodes[k], rule)
         before = (k - 1) % n
         # elements sharing node k: flux integrals vanish by orthogonality
         h_start[k] = h_end[k] = 0.0

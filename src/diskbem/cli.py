@@ -1,10 +1,10 @@
 """Command-line runner: solve a benchmark problem and write CSV/JSON outputs.
 
-Exit codes: 0 on success, 1 when assembly/solve/evaluation fails (with a
-diagnostic on stderr), 2 for usage errors (nothing is written).  All files are
-written atomically (temp file then rename), with LF line endings and floats
-serialized via ``repr``, i.e. the shortest digit string that round-trips, so
-identical runs produce byte-identical outputs.
+Exit codes: 0 on success, 1 when assembly/solve/evaluation fails or runs out
+of memory (with a diagnostic on stderr), 2 for usage errors (nothing is
+written).  All files are written atomically (temp file then rename), with LF
+line endings and floats serialized via ``repr``, i.e. the shortest digit
+string that round-trips, so identical runs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -134,11 +134,9 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _boundary_flux_csv(solution, problem) -> str:
     nodes = solution.mesh.nodes
-    n = len(nodes)
     q_exact = np.asarray(problem.q(nodes), dtype=float)
     lines = ["node,x,y,theta,q_bem,q_exact,abs_err"]
-    for k in range(n):
-        theta = 2.0 * np.pi * (k + 1) / n
+    for k, theta in enumerate(solution.mesh.angles):
         lines.append(
             ",".join(
                 [
@@ -297,5 +295,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # dense H and G need 16*n^2 bytes, so a large --boundary-nodes ends here
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0

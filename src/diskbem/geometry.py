@@ -1,62 +1,67 @@
-"""Boundary discretization of the unit circle and interior evaluation grids.
+"""The uniform boundary polygon of the unit circle and interior evaluation grids.
 
-The boundary is approximated by the closed polygon through n equally spaced
-nodes on the circle.  Node i sits at angle 2*pi*(i+1)/n, so the last node is
-always (1, 0) and the traversal is counterclockwise.  Element i is the chord
-from node i to node (i+1) % n, parameterized by t in [-1, 1].
+The boundary is the regular n-gon inscribed in the unit circle.  Node i sits
+at angle 2*pi*(i+1)/n, so the last node is always (1, 0) and the traversal is
+counterclockwise.  Element i is the chord from node i to node (i+1) % n,
+parameterized by t in [-1, 1] as midpoint + t * half-chord.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "BoundaryMesh",
-    "InteriorGrid",
-    "discretize_circle",
-    "element_point",
-    "element_normal",
-    "element_jacobian",
-    "interior_grid",
-]
+__all__ = ["BoundaryMesh", "InteriorGrid", "discretize_circle", "interior_grid"]
 
 
 @dataclass(frozen=True)
 class BoundaryMesh:
-    """Closed polygonal boundary.
+    """The regular n-gon inscribed in the unit circle, defined by n >= 3 alone.
 
-    nodes : (n, 2) float array, n >= 3, pairwise distinct, counterclockwise.
-    Element i connects nodes[i] to nodes[(i+1) % n]; the polygon closes on
-    itself, so there are exactly n elements.  The node array is frozen after
-    validation; build a new mesh instead of mutating one.
+    Every array is built once on construction and frozen:
+
+    angles : (n,) node angles 2*pi*(i+1)/n.
+    nodes : (n, 2) node coordinates (cos, sin) of those angles.
+    midpoints, halves : (n, 2) element midpoints and half-chords; element i
+        is midpoints[i] + t * halves[i] for t in [-1, 1].
+    jacobians : (n,) arc-length scale of that map, half the chord length.
+    normals : (n, 2) unit normals pointing out of the polygon.
+
+    Because the mesh can only be this polygon, every vertex has the same
+    interior angle and assembly may use the free term (n-2)/(2n).
     """
 
-    nodes: np.ndarray
+    n: int
+    angles: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    midpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    halves: np.ndarray = field(init=False, repr=False, compare=False)
+    jacobians: np.ndarray = field(init=False, repr=False, compare=False)
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nodes = np.array(self.nodes, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 2:
-            raise ValueError(f"nodes must have shape (n, 2), got {nodes.shape}")
-        if len(nodes) < 3:
-            raise ValueError(f"a closed polygon needs at least 3 nodes, got {len(nodes)}")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("mesh nodes must be finite")
-        if len(np.unique(nodes, axis=0)) != len(nodes):
-            raise ValueError("mesh nodes must be pairwise distinct")
-        area = _signed_area(nodes)
-        if area <= 0.0:
-            raise ValueError(
-                f"nodes must be ordered counterclockwise (signed area {area:g} <= 0)"
-            )
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def n(self) -> int:
-        """Number of nodes (equals the number of elements)."""
-        return len(self.nodes)
+        n = operator.index(self.n)
+        if n < 3:
+            raise ValueError(f"the boundary polygon needs at least 3 nodes, got {n}")
+        angles = 2.0 * np.pi * np.arange(1, n + 1) / n
+        nodes = np.column_stack([np.cos(angles), np.sin(angles)])
+        nxt = np.roll(nodes, -1, axis=0)
+        halves = 0.5 * (nxt - nodes)
+        jacobians = np.hypot(halves[:, 0], halves[:, 1])
+        normals = np.column_stack([halves[:, 1], -halves[:, 0]]) / jacobians[:, np.newaxis]
+        object.__setattr__(self, "n", n)
+        for name, value in (
+            ("angles", angles),
+            ("nodes", nodes),
+            ("midpoints", 0.5 * (nodes + nxt)),
+            ("halves", halves),
+            ("jacobians", jacobians),
+            ("normals", normals),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -79,66 +84,14 @@ class InteriorGrid:
         return len(self.points)
 
 
-def _signed_area(nodes: np.ndarray) -> float:
-    x, y = nodes[:, 0], nodes[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
-
-
 def discretize_circle(n: int) -> BoundaryMesh:
-    """Inscribe a regular n-gon in the unit circle.
+    """Inscribe a regular n-gon in the unit circle: the same as ``BoundaryMesh(n)``.
 
     Node i (0-based) is placed at angle 2*pi*(i+1)/n, so the final node lands
     exactly at angle 2*pi, i.e. (cos 2*pi, sin 2*pi) ~ (1, 0).  All chords have
     equal length 2*sin(pi/n).
     """
-    if n < 3:
-        raise ValueError(f"circle discretization needs n >= 3 nodes, got {n}")
-    angles = 2.0 * np.pi * np.arange(1, n + 1) / n
-    return BoundaryMesh(np.column_stack([np.cos(angles), np.sin(angles)]))
-
-
-def _element_endpoints(mesh: BoundaryMesh, i: int) -> tuple[np.ndarray, np.ndarray]:
-    n = mesh.n
-    if not 0 <= i < n:
-        raise IndexError(f"element index {i} out of range for {n} elements")
-    return mesh.nodes[i], mesh.nodes[(i + 1) % n]
-
-
-def element_point(mesh: BoundaryMesh, i: int, t) -> np.ndarray:
-    """Map reference coordinate t in [-1, 1] to a point on element i.
-
-    t = -1 gives the element's first node, t = +1 the second; the map is the
-    affine chord parameterization.  t may be a scalar or an array.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1.0) or np.any(t > 1.0):
-        raise ValueError("reference coordinate t must lie in [-1, 1]")
-    first, second = _element_endpoints(mesh, i)
-    return 0.5 * (1.0 - t)[..., np.newaxis] * first + 0.5 * (1.0 + t)[..., np.newaxis] * second
-
-
-def element_normal(mesh: BoundaryMesh, i: int) -> np.ndarray:
-    """Unit normal of element i, pointing out of a counterclockwise polygon."""
-    first, second = _element_endpoints(mesh, i)
-    return _chord_normal(first, second)
-
-
-def _chord_normal(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    dx, dy = second[0] - first[0], second[1] - first[1]
-    length = np.hypot(dx, dy)
-    if length == 0.0:
-        raise ValueError("degenerate element: endpoints coincide")
-    return np.array([dy, -dx]) / length
-
-
-def element_jacobian(mesh: BoundaryMesh, i: int) -> float:
-    """Arc-length scale of the reference map: half the chord length."""
-    first, second = _element_endpoints(mesh, i)
-    jac = 0.5 * float(np.hypot(*(second - first)))
-    if jac == 0.0:
-        raise ValueError("degenerate element: endpoints coincide")
-    return jac
+    return BoundaryMesh(n)
 
 
 def interior_grid(m: int) -> InteriorGrid:

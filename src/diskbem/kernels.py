@@ -32,6 +32,21 @@ class SingularKernelError(ValueError):
     """Field and source points coincide, where the kernel is unbounded."""
 
 
+def _potential(r2):
+    """Logarithmic potential -ln(r)/(2*pi) from the squared separation, unchecked."""
+    # -ln(r) = -ln(r^2)/2 avoids the intermediate square root
+    return -0.25 * np.log(r2) / np.pi
+
+
+def _flux(projection, r2):
+    """Flux kernel -(diff . direction)/(2*pi*r^2) from the projected separation, unchecked.
+
+    ``projection`` is diff . direction for a unit direction, or diff itself
+    (with r2 given a trailing axis) for the full gradient.
+    """
+    return -projection / (_TWO_PI * r2)
+
+
 def _separation(field, source) -> tuple[np.ndarray, np.ndarray]:
     diff = np.asarray(field, dtype=float) - np.asarray(source, dtype=float)
     r2 = np.sum(diff * diff, axis=-1)
@@ -42,15 +57,13 @@ def _separation(field, source) -> tuple[np.ndarray, np.ndarray]:
 
 def fundamental_solution(field, source):
     """Logarithmic potential -ln(r)/(2*pi) at separation r = |field - source|."""
-    _, r2 = _separation(field, source)
-    # -ln(r) = -ln(r^2)/2 avoids the intermediate square root
-    return -0.25 * np.log(r2) / np.pi
+    return _potential(_separation(field, source)[1])
 
 
 def fundamental_flux(field, source) -> np.ndarray:
     """Gradient of the potential with respect to the field point."""
     diff, r2 = _separation(field, source)
-    return -diff / (_TWO_PI * r2[..., np.newaxis])
+    return _flux(diff, r2[..., np.newaxis])
 
 
 def normal_flux(field, source, normal):
@@ -59,4 +72,5 @@ def normal_flux(field, source, normal):
     length = np.sqrt(np.sum(normal * normal, axis=-1))
     if np.any(np.abs(length - 1.0) > 1e-12):
         raise ValueError("normal must be a unit vector")
-    return np.sum(fundamental_flux(field, source) * normal, axis=-1)
+    diff, r2 = _separation(field, source)
+    return _flux(np.sum(diff * normal, axis=-1), r2)

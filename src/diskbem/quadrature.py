@@ -22,18 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "MAX_ORDER",
-    "IntegrationError",
     "QuadratureRule",
     "gauss_legendre",
     "basis_start",
     "basis_end",
-    "integrate",
     "singular_log_moments",
     "singular_g_pair",
 ]
@@ -41,14 +38,6 @@ __all__ = [
 MAX_ORDER = 64
 
 _TWO_PI = 2.0 * math.pi
-
-
-class IntegrationError(RuntimeError):
-    """Integrand returned a non-finite value; ``point`` records where."""
-
-    def __init__(self, message: str, point: float):
-        super().__init__(message)
-        self.point = point
 
 
 @dataclass(frozen=True)
@@ -89,16 +78,6 @@ def basis_start(t):
 def basis_end(t):
     """Linear shape function that is 1 at t = +1 (the element's second node)."""
     return 0.5 * (1.0 + np.asarray(t, dtype=float))
-
-
-def integrate(rule: QuadratureRule, f: Callable[[float], float]) -> float:
-    """Apply ``rule`` to a scalar function on [-1, 1]."""
-    values = np.array([f(t) for t in rule.points], dtype=float)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        where = float(rule.points[np.argmax(bad)])
-        raise IntegrationError(f"integrand not finite at t = {where!r}", where)
-    return float(rule.weights @ values)
 
 
 def singular_log_moments(length: float) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .assembly import BemSystem, _frames, _regular_rows
+from .assembly import BemSystem, _regular_rows
 from .geometry import BoundaryMesh, InteriorGrid
 from .problems import TestProblem
 from .quadrature import QuadratureRule
@@ -33,7 +33,6 @@ __all__ = [
     "BoundarySolution",
     "FieldReport",
     "solve_flux",
-    "near_boundary",
     "evaluate_interior",
     "evaluate_field",
 ]
@@ -131,20 +130,13 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
     return BoundarySolution(system.mesh, system.u_nodes, q)
 
 
-def near_boundary(mesh: BoundaryMesh, point) -> bool:
-    """True when the point is within half an element length of the unit circle."""
-    point = np.asarray(point, dtype=float)
-    half_length = float(np.max(_frames(mesh.nodes)[2]))
-    return bool(1.0 - np.hypot(point[0], point[1]) < half_length)
-
-
 def evaluate_interior(solution: BoundarySolution, point, rule: QuadratureRule) -> float:
     """Evaluate the boundary-integral representation at a strictly interior point."""
     point = np.asarray(point, dtype=float)
-    if np.hypot(point[0], point[1]) >= 1.0:
+    # written so that a NaN coordinate fails the test too
+    if not np.hypot(point[0], point[1]) < 1.0:
         raise ValueError(f"point {point.tolist()} is not strictly inside the unit disk")
-    nodes = solution.mesh.nodes
-    h_start, h_end, g_start, g_end = _regular_rows(nodes, point, rule)
+    h_start, h_end, g_start, g_end = _regular_rows(solution.mesh, point, rule)
     u = solution.u_nodes
     q = solution.q_nodes
     u_next = np.roll(u, -1)
@@ -164,6 +156,6 @@ def evaluate_field(
     points = grid.points
     u_bem = np.array([evaluate_interior(solution, p, rule) for p in points])
     u_exact = np.asarray(problem.u(points), dtype=float)
-    half_length = float(np.max(_frames(solution.mesh.nodes)[2]))
+    half_length = float(np.max(solution.mesh.jacobians))
     flags = 1.0 - np.hypot(points[:, 0], points[:, 1]) < half_length
     return FieldReport(points, u_bem, u_exact, flags)

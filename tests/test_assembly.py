@@ -7,19 +7,15 @@ from diskbem import (
     BoundaryMesh,
     assemble,
     discretize_circle,
-    element_g_contributions,
-    element_h_contributions,
-    element_jacobian,
     free_term,
     gauss_legendre,
     get_problem,
     singular_g_pair,
 )
+from diskbem.assembly import _regular_rows
 from tests.oracles import brute_element_contributions
 
 TWO_PI = 2.0 * np.pi
-
-RIGHT_TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 
 
 # ----------------------------------------------------------------------
@@ -51,54 +47,31 @@ def test_free_term_rejects_degenerate_polygons(n):
 
 def test_h_contributions_decay_with_distance(rule8):
     mesh = discretize_circle(30)
-    length = 2.0 * element_jacobian(mesh, 0)
-    h_start, h_end = element_h_contributions(mesh, 0, (10.0, 0.0), rule8)
+    length = 2.0 * mesh.jacobians[0]
+    h_start, h_end, _, _ = _regular_rows(mesh, np.array([10.0, 0.0]), rule8)
     # |flux kernel| <= 1/(2*pi*r) with r >= 9 everywhere on the element
     bound = length / (TWO_PI * 9.0)
-    assert abs(h_start) + abs(h_end) <= bound
+    assert abs(h_start[0]) + abs(h_end[0]) <= bound
 
 
 def test_h_contributions_vanish_for_collinear_outside_source(rule8):
     # source on the chord's line but outside the element: the separation is
-    # parallel to the chord, so the normal projection is identically zero
-    mesh = BoundaryMesh(RIGHT_TRIANGLE)
-    h_start, h_end = element_h_contributions(mesh, 0, (2.0, -1.0), rule8)
-    assert h_start == 0.0
-    assert h_end == 0.0
+    # parallel to the chord, so the normal projection vanishes (to rounding,
+    # since the square's nodes are cos/sin values that are not exact)
+    mesh = discretize_circle(4)
+    first, second = mesh.nodes[3], mesh.nodes[0]
+    source = second + (second - first)
+    h_start, h_end, _, _ = _regular_rows(mesh, source, rule8)
+    assert abs(h_start[3]) <= 1e-15
+    assert abs(h_end[3]) <= 1e-15
 
 
 def test_total_flux_seen_from_an_interior_point(rule8):
     # summed over a closed boundary, the flux kernel integrates to -1 for any
     # source strictly inside
     mesh = discretize_circle(30)
-    total = 0.0
-    for i in range(mesh.n):
-        h_start, h_end = element_h_contributions(mesh, i, (0.3, 0.2), rule8)
-        total += h_start + h_end
-    assert total == pytest.approx(-1.0, abs=1e-3)
-
-
-def test_h_contributions_reject_endpoint_source(rule8):
-    mesh = discretize_circle(12)
-    with pytest.raises(ValueError, match="endpoint"):
-        element_h_contributions(mesh, 3, mesh.nodes[3], rule8)
-    with pytest.raises(ValueError, match="endpoint"):
-        element_h_contributions(mesh, 3, mesh.nodes[4], rule8)
-
-
-def test_source_on_the_open_chord_warns(rule8):
-    mesh = discretize_circle(12)
-    chord_midpoint = 0.5 * (mesh.nodes[0] + mesh.nodes[1])
-    with pytest.warns(RuntimeWarning, match="chord"):
-        element_h_contributions(mesh, 0, chord_midpoint, rule8)
-
-
-def test_element_index_out_of_range(rule8):
-    mesh = discretize_circle(5)
-    with pytest.raises(IndexError):
-        element_h_contributions(mesh, 5, (3.0, 0.0), rule8)
-    with pytest.raises(IndexError):
-        element_g_contributions(mesh, -1, (3.0, 0.0), rule8)
+    h_start, h_end, _, _ = _regular_rows(mesh, np.array([0.3, 0.2]), rule8)
+    assert np.sum(h_start + h_end) == pytest.approx(-1.0, abs=1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -108,50 +81,48 @@ def test_element_index_out_of_range(rule8):
 
 def test_g_contributions_singular_closed_form(rule8):
     # hexagon chords have length 2*sin(pi/6) = 1, where the closed form gives
-    # (3/(8*pi), 1/(8*pi))
+    # (3/(8*pi), 1/(8*pi)); assembly puts the near value of both elements
+    # adjacent to a node on the diagonal
     mesh = discretize_circle(6)
     near = 3.0 / (8.0 * np.pi)
     far = 1.0 / (8.0 * np.pi)
 
-    at_first = element_g_contributions(mesh, 2, mesh.nodes[2], rule8)
-    assert at_first[0] == pytest.approx(near, rel=1e-12)
-    assert at_first[1] == pytest.approx(far, rel=1e-12)
+    g_near, g_far = singular_g_pair(2.0 * mesh.jacobians[2])
+    assert g_near == pytest.approx(near, rel=1e-12)
+    assert g_far == pytest.approx(far, rel=1e-12)
 
-    at_second = element_g_contributions(mesh, 2, mesh.nodes[3], rule8)
-    assert at_second[0] == pytest.approx(far, rel=1e-12)
-    assert at_second[1] == pytest.approx(near, rel=1e-12)
+    system = assemble(mesh, get_problem(1), rule8)
+    assert np.allclose(np.diag(system.G), 2.0 * near, rtol=1e-12)
 
 
 def test_g_contributions_sign_follows_distance(rule8):
     # -ln(r) is positive inside unit separation and negative beyond it
     mesh = discretize_circle(30)
-    g_near_start, g_near_end = element_g_contributions(mesh, 15, (0.0, 0.0), rule8)
-    assert g_near_start > 0.0 and g_near_end > 0.0
-    g_far_start, g_far_end = element_g_contributions(mesh, 15, (10.0, 0.0), rule8)
-    assert g_far_start < 0.0 and g_far_end < 0.0
+    _, _, g_near_start, g_near_end = _regular_rows(mesh, np.array([0.0, 0.0]), rule8)
+    assert g_near_start[15] > 0.0 and g_near_end[15] > 0.0
+    _, _, g_far_start, g_far_end = _regular_rows(mesh, np.array([10.0, 0.0]), rule8)
+    assert g_far_start[15] < 0.0 and g_far_end[15] < 0.0
 
 
 @pytest.mark.parametrize("source_node", [2, 5])
 def test_regular_element_integrals_match_composite_quadrature(rule8, source_node):
     mesh = discretize_circle(8)
     source = mesh.nodes[source_node]
+    rows = np.array(_regular_rows(mesh, source, rule8))
     for i in range(8):
         if i in (source_node, (source_node - 1) % 8):
             continue  # singular rows use the closed form, checked elsewhere
         brute = brute_element_contributions(mesh.nodes, i, source)
-        h_start, h_end = element_h_contributions(mesh, i, source, rule8)
-        g_start, g_end = element_g_contributions(mesh, i, source, rule8)
-        assert np.allclose([h_start, h_end, g_start, g_end], brute, atol=1e-9)
+        assert np.allclose(rows[:, i], brute, atol=1e-9)
 
 
 def test_interior_source_element_integrals_match_composite_quadrature(rule8):
     mesh = discretize_circle(8)
     source = np.array([0.25, -0.1])
+    rows = np.array(_regular_rows(mesh, source, rule8))
     for i in range(8):
         brute = brute_element_contributions(mesh.nodes, i, source)
-        h_start, h_end = element_h_contributions(mesh, i, source, rule8)
-        g_start, g_end = element_g_contributions(mesh, i, source, rule8)
-        assert np.allclose([h_start, h_end, g_start, g_end], brute, atol=1e-9)
+        assert np.allclose(rows[:, i], brute, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +154,7 @@ def test_flux_diagonal_is_exactly_zero(system30):
 
 
 def test_potential_diagonal_is_twice_the_near_value(system30, mesh30):
-    length = 2.0 * element_jacobian(mesh30, 0)
+    length = 2.0 * mesh30.jacobians[0]
     g_near, _ = singular_g_pair(length)
     assert np.allclose(np.diag(system30.G), 2.0 * g_near, rtol=1e-14)
 
@@ -202,14 +173,17 @@ def test_assemble_rows_match_per_element_calls(rule8):
     system = assemble(mesh, get_problem(2), rule8)
     n = mesh.n
     for k in (0, 5):
+        h_start, h_end, g_start, g_end = _regular_rows(mesh, mesh.nodes[k], rule8)
         h_row = np.zeros(n)
         g_row = np.zeros(n)
         for i in range(n):
             if i == k or i == (k - 1) % n:
                 h_pair = (0.0, 0.0)
+                g_near, g_far = singular_g_pair(2.0 * mesh.jacobians[i])
+                g_pair = (g_near, g_far) if i == k else (g_far, g_near)
             else:
-                h_pair = element_h_contributions(mesh, i, mesh.nodes[k], rule8)
-            g_pair = element_g_contributions(mesh, i, mesh.nodes[k], rule8)
+                h_pair = (h_start[i], h_end[i])
+                g_pair = (g_start[i], g_end[i])
             h_row[i] += h_pair[0]
             h_row[(i + 1) % n] += h_pair[1]
             g_row[i] += g_pair[0]
@@ -240,7 +214,7 @@ def test_full_system_against_composite_quadrature(rule8):
             adjacent = i == k or i == (k - 1) % n
             if adjacent:
                 h_pair = (0.0, 0.0)
-                length = 2.0 * element_jacobian(mesh, i)
+                length = 2.0 * mesh.jacobians[i]
                 g_near, g_far = singular_g_pair(length)
                 g_pair = (g_near, g_far) if i == k else (g_far, g_near)
             else:
@@ -255,16 +229,14 @@ def test_full_system_against_composite_quadrature(rule8):
     assert np.max(np.abs(system.G - G)) <= 1e-9
 
 
-def test_assemble_rejects_non_circle_meshes(rule8):
-    problem = get_problem(1)
-    with pytest.raises(ValueError, match="unit circle"):
-        assemble(BoundaryMesh(RIGHT_TRIANGLE), problem, rule8)
-
-    # nodes on the circle but unevenly spaced
+def test_assemble_rejects_non_circle_meshes():
+    # a mesh is defined by its node count alone, so neither a general polygon
+    # nor unevenly spaced circle nodes can reach assembly
+    with pytest.raises(TypeError):
+        BoundaryMesh(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
     angles = np.array([0.3, 1.8, 3.1, 4.0, 5.5])
-    uneven = BoundaryMesh(np.column_stack([np.cos(angles), np.sin(angles)]))
-    with pytest.raises(ValueError, match="equally spaced"):
-        assemble(uneven, problem, rule8)
+    with pytest.raises(TypeError):
+        BoundaryMesh(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
 def test_assemble_at_other_quadrature_orders(mesh30, problem1):

@@ -255,6 +255,20 @@ def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "interior evaluation exploded" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_one_with_a_one_line_error(tmp_path, monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.16 TiB for an array with shape (400000, 400000)")
+
+    monkeypatch.setattr(cli, "assemble", too_large)
+    code = main(["--problem", "1", "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Unable to allocate" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
 # serialization helpers
 # ----------------------------------------------------------------------

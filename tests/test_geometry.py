@@ -1,17 +1,9 @@
-"""Circle discretization, element frames, and interior grids."""
+"""The uniform n-gon mesh, its element frames, and interior grids."""
 
 import numpy as np
 import pytest
 
-from diskbem import (
-    BoundaryMesh,
-    discretize_circle,
-    element_jacobian,
-    element_normal,
-    element_point,
-    interior_grid,
-)
-from diskbem.geometry import _chord_normal, _signed_area
+from diskbem import BoundaryMesh, discretize_circle, interior_grid
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -38,7 +30,9 @@ def test_circle_nodes_on_unit_circle_and_counterclockwise(n):
     mesh = discretize_circle(n)
     radii = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
     assert np.max(np.abs(radii - 1.0)) <= 1e-12
-    assert _signed_area(mesh.nodes) > 0.0
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    signed_area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    assert signed_area > 0.0
 
 
 @pytest.mark.parametrize("n", [-5, 0, 1, 2])
@@ -48,35 +42,31 @@ def test_circle_rejects_degenerate_node_counts(n):
 
 
 # ----------------------------------------------------------------------
-# BoundaryMesh validation
+# BoundaryMesh
 # ----------------------------------------------------------------------
 
 
 def test_mesh_rejects_too_few_nodes():
     with pytest.raises(ValueError, match="at least 3"):
-        BoundaryMesh(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        BoundaryMesh(2)
 
 
-def test_mesh_rejects_duplicate_nodes():
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="distinct"):
-        BoundaryMesh(nodes)
-
-
-def test_mesh_rejects_clockwise_order():
-    with pytest.raises(ValueError, match="counterclockwise"):
-        BoundaryMesh(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_mesh_rejects_nonfinite_nodes():
-    with pytest.raises(ValueError, match="finite"):
-        BoundaryMesh(np.array([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]]))
+def test_mesh_is_the_circle_discretization():
+    mesh = BoundaryMesh(7)
+    assert mesh.n == 7
+    assert mesh == discretize_circle(7)
+    assert np.array_equal(mesh.nodes, discretize_circle(7).nodes)
+    assert np.array_equal(mesh.angles, 2.0 * np.pi * np.arange(1, 8) / 7)
+    assert np.array_equal(mesh.nodes, np.column_stack([np.cos(mesh.angles), np.sin(mesh.angles)]))
 
 
 def test_mesh_nodes_are_frozen():
     mesh = discretize_circle(5)
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 2.0
+    for frame in (mesh.angles, mesh.midpoints, mesh.halves, mesh.jacobians, mesh.normals):
+        with pytest.raises(ValueError):
+            frame[0] = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -85,84 +75,52 @@ def test_mesh_nodes_are_frozen():
 
 
 def test_jacobian_is_half_chord_length():
-    assert element_jacobian(discretize_circle(30), 0) == pytest.approx(
-        np.sin(np.pi / 30), rel=1e-15
-    )
-    assert element_jacobian(discretize_circle(4), 2) == pytest.approx(SQRT_HALF, rel=1e-15)
-
-
-def test_jacobian_of_length_two_element_is_one():
-    mesh = BoundaryMesh(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    assert element_jacobian(mesh, 0) == pytest.approx(1.0, rel=1e-15)
+    assert discretize_circle(30).jacobians[0] == pytest.approx(np.sin(np.pi / 30), rel=1e-15)
+    assert discretize_circle(4).jacobians[2] == pytest.approx(SQRT_HALF, rel=1e-15)
+    assert np.allclose(discretize_circle(6).jacobians, 0.5, rtol=1e-15)
 
 
 def test_normals_on_the_square():
     mesh = discretize_circle(4)
     # element 3 runs from (1, 0) to (0, 1), element 0 from (0, 1) to (-1, 0)
-    assert np.allclose(element_normal(mesh, 3), (SQRT_HALF, SQRT_HALF), atol=1e-15)
-    assert np.allclose(element_normal(mesh, 0), (-SQRT_HALF, SQRT_HALF), atol=1e-15)
+    assert np.allclose(mesh.normals[3], (SQRT_HALF, SQRT_HALF), atol=1e-15)
+    assert np.allclose(mesh.normals[0], (-SQRT_HALF, SQRT_HALF), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [5, 12, 30])
 def test_normals_are_unit_outward_and_perpendicular(n):
     mesh = discretize_circle(n)
     for i in range(n):
-        normal = element_normal(mesh, i)
+        normal = mesh.normals[i]
         chord = mesh.nodes[(i + 1) % n] - mesh.nodes[i]
         assert np.hypot(*normal) == pytest.approx(1.0, abs=1e-14)
         assert abs(normal @ chord) <= 1e-14 * np.hypot(*chord)
-        midpoint = element_point(mesh, i, 0.0)
-        assert normal @ midpoint > 0.0  # outward on a circle centered at 0
+        assert normal @ mesh.midpoints[i] > 0.0  # outward on a circle centered at 0
 
 
-def test_degenerate_chord_is_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        _chord_normal(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-
-
-def test_element_point_endpoints_exact():
+def test_element_frames_span_each_chord():
+    # midpoint -/+ half-chord gives the element's first/second node, and so
+    # the node shared with the next element, to within one rounding
     mesh = discretize_circle(7)
-    for i in range(7):
-        assert np.array_equal(element_point(mesh, i, -1.0), mesh.nodes[i])
-        assert np.array_equal(element_point(mesh, i, 1.0), mesh.nodes[(i + 1) % 7])
+    successors = np.roll(mesh.nodes, -1, axis=0)
+    assert np.allclose(mesh.midpoints - mesh.halves, mesh.nodes, rtol=0.0, atol=2e-16)
+    assert np.allclose(mesh.midpoints + mesh.halves, successors, rtol=0.0, atol=2e-16)
 
 
 def test_element_point_midpoint_and_array_argument():
     mesh = discretize_circle(6)
-    mid = element_point(mesh, 2, 0.0)
-    assert np.allclose(mid, 0.5 * (mesh.nodes[2] + mesh.nodes[3]), rtol=1e-15)
-    batch = element_point(mesh, 2, np.array([-1.0, 0.0, 1.0]))
+    assert np.allclose(mesh.midpoints[2], 0.5 * (mesh.nodes[2] + mesh.nodes[3]), rtol=1e-15)
+    t = np.array([-1.0, 0.0, 1.0])
+    batch = mesh.midpoints[2] + t[:, np.newaxis] * mesh.halves[2]
     assert batch.shape == (3, 2)
-    assert np.array_equal(batch[0], mesh.nodes[2])
-
-
-def test_adjacent_elements_share_their_node_exactly():
-    mesh = discretize_circle(9)
-    for i in range(9):
-        start_of_next = element_point(mesh, (i + 1) % 9, -1.0)
-        assert np.array_equal(element_point(mesh, i, 1.0), start_of_next)
-
-
-def test_element_point_rejects_t_outside_reference_interval():
-    mesh = discretize_circle(5)
-    with pytest.raises(ValueError, match="\\[-1, 1\\]"):
-        element_point(mesh, 0, 1.0001)
-    with pytest.raises(ValueError):
-        element_point(mesh, 0, np.array([0.0, -1.5]))
-
-
-def test_element_index_out_of_range():
-    mesh = discretize_circle(5)
-    with pytest.raises(IndexError):
-        element_jacobian(mesh, 5)
-    with pytest.raises(IndexError):
-        element_normal(mesh, -1)
+    assert np.allclose(batch[0], mesh.nodes[2], rtol=0.0, atol=2e-16)
+    assert np.array_equal(batch[1], mesh.midpoints[2])
 
 
 @pytest.mark.parametrize("n", [3, 10, 50])
 def test_total_chord_length(n):
     mesh = discretize_circle(n)
-    total = sum(2.0 * element_jacobian(mesh, i) for i in range(n))
+    total = np.sum(2.0 * mesh.jacobians)
     assert total == pytest.approx(2 * n * np.sin(np.pi / n), rel=1e-13)
 
 

@@ -5,12 +5,10 @@ import pytest
 
 from diskbem import (
     MAX_ORDER,
-    IntegrationError,
     QuadratureRule,
     basis_end,
     basis_start,
     gauss_legendre,
-    integrate,
     singular_g_pair,
     singular_log_moments,
 )
@@ -96,27 +94,20 @@ def test_basis_partition_of_unity():
 
 
 # ----------------------------------------------------------------------
-# integrate
+# applying a rule
 # ----------------------------------------------------------------------
 
 
 def test_integrate_simple_functions():
     rule = gauss_legendre(8)
-    assert integrate(rule, lambda t: 1.0) == pytest.approx(2.0, rel=1e-14)
-    assert integrate(rule, basis_start) == pytest.approx(1.0, rel=1e-14)
-    assert integrate(rule, lambda t: t * t) == pytest.approx(2.0 / 3.0, rel=1e-14)
-
-
-def test_integrate_reports_the_offending_point():
-    rule = gauss_legendre(3)
-    with pytest.raises(IntegrationError) as excinfo:
-        integrate(rule, lambda t: np.nan if t > 0 else 1.0)
-    assert excinfo.value.point == pytest.approx(np.sqrt(0.6), abs=1e-12)
+    assert rule.weights @ np.ones(8) == pytest.approx(2.0, rel=1e-14)
+    assert rule.weights @ basis_start(rule.points) == pytest.approx(1.0, rel=1e-14)
+    assert rule.weights @ rule.points**2 == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 def test_quadrature_rule_accepts_custom_nodes():
     rule = QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, 1.0]), 2)
-    assert integrate(rule, lambda t: t * t) == pytest.approx(0.5, rel=1e-15)
+    assert rule.weights @ rule.points**2 == pytest.approx(0.5, rel=1e-15)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from diskbem import (
     BemSystem,
     BoundarySolution,
     FieldReport,
+    InteriorGrid,
     SolveError,
     assemble,
     constant_problem,
@@ -15,7 +16,6 @@ from diskbem import (
     evaluate_interior,
     get_problem,
     interior_grid,
-    near_boundary,
     solve_flux,
 )
 from diskbem.solver import REL_EXCLUSION_THRESHOLD
@@ -106,7 +106,9 @@ def test_interior_value_near_the_boundary_band(solution30, rule8):
     assert 0.356 <= value <= 0.366  # exact value is 0.36
 
 
-@pytest.mark.parametrize("point", [(1.0, 0.0), (0.0, -1.0), (0.8, 0.7), (2.0, 0.0)])
+@pytest.mark.parametrize(
+    "point", [(1.0, 0.0), (0.0, -1.0), (0.8, 0.7), (2.0, 0.0), (np.nan, 0.0), (0.0, np.nan)]
+)
 def test_interior_evaluation_rejects_outside_points(solution30, rule8, point):
     with pytest.raises(ValueError, match="inside"):
         evaluate_interior(solution30, point, rule8)
@@ -132,11 +134,11 @@ def test_constant_field_is_reproduced_inside(mesh30, rule8):
         assert value == pytest.approx(1.0, abs=5e-3)
 
 
-def test_near_boundary_predicate(mesh30):
-    assert not near_boundary(mesh30, (0.0, 0.0))
-    assert not near_boundary(mesh30, (0.8, 0.0))
-    assert near_boundary(mesh30, (0.95, 0.0))
-    assert near_boundary(mesh30, (0.0, 0.999))
+def test_near_boundary_predicate(solution30, problem1, rule8):
+    # flagged when within half an element length (0.1045 at n = 30) of the circle
+    grid = InteriorGrid([(0.0, 0.0), (0.8, 0.0), (0.95, 0.0), (0.0, 0.999)], 0)
+    report = evaluate_field(solution30, grid, problem1, rule8)
+    assert report.near_boundary.tolist() == [False, False, True, True]
 
 
 # ----------------------------------------------------------------------
