@@ -98,6 +98,29 @@ def test_normals_are_unit_outward_and_perpendicular(n):
         assert normal @ mesh.midpoints[i] > 0.0  # outward on a circle centered at 0
 
 
+def test_element_point_endpoints_exact():
+    # element i runs from node i to node i+1: its frames are exactly the
+    # half-sum and half-difference of those two stored nodes (halving is exact)
+    mesh = discretize_circle(7)
+    for i in range(7):
+        first, second = mesh.nodes[i], mesh.nodes[(i + 1) % 7]
+        assert np.array_equal(2.0 * mesh.midpoints[i], first + second)
+        assert np.array_equal(2.0 * mesh.halves[i], second - first)
+
+
+def test_adjacent_elements_share_their_node_exactly():
+    # the end node of element i and the start node of element i+1 are the same
+    # stored node, bit for bit, in both elements' frames
+    mesh = discretize_circle(9)
+    for i in range(9):
+        shared = mesh.nodes[(i + 1) % 9]
+        before, after = mesh.nodes[i], mesh.nodes[(i + 2) % 9]
+        assert np.array_equal(2.0 * mesh.midpoints[i], before + shared)
+        assert np.array_equal(2.0 * mesh.halves[i], shared - before)
+        assert np.array_equal(2.0 * mesh.midpoints[(i + 1) % 9], shared + after)
+        assert np.array_equal(2.0 * mesh.halves[(i + 1) % 9], after - shared)
+
+
 def test_element_frames_span_each_chord():
     # midpoint -/+ half-chord gives the element's first/second node, and so
     # the node shared with the next element, to within one rounding
