@@ -7,7 +7,7 @@ Solving for the boundary flux on the unit disk
 # The Dirichlet problem prescribes the potential u on the boundary and asks
 # for the outward normal flux q = du/dn.  We discretize the unit circle into
 # straight elements, collocate the boundary integral identity at the nodes,
-# and solve the resulting dense system.
+# and solve the resulting circulant system by FFT.
 
 import numpy as np
 

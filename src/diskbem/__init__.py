@@ -1,9 +1,10 @@
 """Boundary element solution of the Dirichlet Laplace problem on the unit disk.
 
 The boundary is discretized into straight elements with piecewise-linear
-nodal shape functions; collocation at the nodes produces a dense system whose
-solution is the outward normal flux, after which the field anywhere inside
-the disk follows from the boundary integral representation.
+nodal shape functions; collocation at the nodes produces a circulant system,
+solved by FFT, whose solution is the outward normal flux, after which the
+field anywhere inside the disk follows from the boundary integral
+representation.
 
 Typical use::
 

@@ -8,7 +8,7 @@ in ``n_rel_excluded`` instead of being silently dropped.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,14 +51,7 @@ class ErrorStats:
     n_rel_excluded: int
 
     def as_dict(self) -> dict:
-        return {
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel,
-            "mean_abs": self.mean_abs,
-            "mean_rel": self.mean_rel,
-            "n_points": self.n_points,
-            "n_rel_excluded": self.n_rel_excluded,
-        }
+        return asdict(self)
 
 
 def _stats_from_errors(abs_err: np.ndarray, exact: np.ndarray) -> ErrorStats:

@@ -1,4 +1,4 @@
-"""Collocation assembly of the dense boundary-influence system.
+"""Collocation assembly of the circulant boundary-influence system.
 
 For Dirichlet data u on the boundary, collocating the boundary integral
 identity at every node gives
@@ -11,6 +11,10 @@ c is the interior-angle fraction of the polygon vertex.  For the regular n-gon
 every vertex angle is pi*(n-2)/n, hence c = (n-2)/(2n); ``BoundaryMesh`` can
 only be that polygon.
 
+Every node sees the same polygon, rotated, so H and G are circulant: row k is
+row 0 rolled by k.  Only row 0 is integrated and stored; the n-by-n matrices
+are built from it when they are read.
+
 Element integrals are regular Gauss-Legendre quadratures except where the
 collocation node is an endpoint of the element:
 
@@ -19,9 +23,8 @@ collocation node is an endpoint of the element:
 * the potential kernel has an integrable log singularity, replaced by the
   closed forms in :mod:`diskbem.quadrature` (``singular_g_pair``).
 
-Entry H[k, j] receives contributions from the two elements sharing node j,
-accumulated in element order, so two assemblies of the same inputs are
-bitwise identical.
+Entry j of row 0 sums the contributions of the two elements sharing node j in
+a fixed order, so two assemblies of the same inputs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -40,22 +43,49 @@ __all__ = ["BemSystem", "free_term", "assemble"]
 
 @dataclass(frozen=True)
 class BemSystem:
-    """Assembled dense system relating nodal potentials to nodal fluxes.
+    """Assembled circulant system relating nodal potentials to nodal fluxes.
 
-    H and G are n-by-n float64 arrays; row k collocates at node k.  c is the
-    free-term coefficient shared by all rows of the uniform circle mesh, and
-    u_nodes holds the Dirichlet data sampled at the nodes.
+    h_row and g_row are row 0 of H and G, read-only float64 arrays of shape
+    (n,); row k of either matrix is its row 0 rolled by k and collocates at
+    node k.  c is the free-term coefficient shared by all rows of the uniform
+    circle mesh, and u_nodes holds the Dirichlet data sampled at the nodes.
     """
 
     mesh: BoundaryMesh
-    H: np.ndarray
-    G: np.ndarray
+    h_row: np.ndarray
+    g_row: np.ndarray
     c: float
     u_nodes: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("h_row", "g_row"):
+            row = np.array(getattr(self, name), dtype=float)
+            if row.shape != (self.mesh.n,):
+                raise ValueError(f"{name} must have shape ({self.mesh.n},), got {row.shape}")
+            row.setflags(write=False)
+            object.__setattr__(self, name, row)
 
     @property
     def n(self) -> int:
         return self.mesh.n
+
+    @property
+    def H(self) -> np.ndarray:
+        """Dense n-by-n H, built from ``h_row`` on every read."""
+        return _circulant(self.h_row)
+
+    @property
+    def G(self) -> np.ndarray:
+        """Dense n-by-n G, built from ``g_row`` on every read."""
+        return _circulant(self.g_row)
+
+
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Read-only n-by-n matrix whose row k is ``np.roll(row, k)``."""
+    index = np.arange(len(row))
+    dense = row[(index[np.newaxis, :] - index[:, np.newaxis]) % len(row)]
+    dense.setflags(write=False)
+    return dense
 
 
 def free_term(n: int) -> float:
@@ -76,7 +106,7 @@ def _regular_rows(mesh: BoundaryMesh, source: np.ndarray, rule: QuadratureRule):
     Returns (h_start, h_end, g_start, g_end), each of shape (n,): the flux and
     potential integrals weighted by the shape functions of the element's first
     and second node.  Elements that contain ``source`` as an endpoint come out
-    finite but meaningless here; ``assemble`` overwrites them.
+    finite but meaningless here; ``assemble`` overwrites them for node 0.
     """
     t = rule.points
     halves = mesh.halves[np.newaxis, :, :]
@@ -96,36 +126,22 @@ def _regular_rows(mesh: BoundaryMesh, source: np.ndarray, rule: QuadratureRule):
 
 
 def assemble(mesh: BoundaryMesh, problem: TestProblem, rule: QuadratureRule) -> BemSystem:
-    """Build the dense H and G matrices and sample the Dirichlet data.
+    """Integrate row 0 of H and G and sample the Dirichlet data.
 
-    Collocation row k uses node k as source.  The two elements adjacent to
-    node k are singular for that row: their H contributions are exact zeros
-    and their G contributions come from ``singular_g_pair``.  All remaining
-    elements are integrated with ``rule``.
+    Row 0 uses node 0 as source.  The two elements sharing node 0, element 0
+    and element n-1, are singular for it: their H contributions are exact
+    zeros and their G contributions come from ``singular_g_pair``.  All
+    remaining elements are integrated with ``rule``.
     """
-    nodes = mesh.nodes
-    n = mesh.n
+    h_start, h_end, g_start, g_end = _regular_rows(mesh, mesh.nodes[0], rule)
     lengths = 2.0 * mesh.jacobians
-    element = np.arange(n)
-    successor = (element + 1) % n
-
-    H = np.zeros((n, n))
-    G = np.zeros((n, n))
-    for k in range(n):
-        h_start, h_end, g_start, g_end = _regular_rows(mesh, nodes[k], rule)
-        before = (k - 1) % n
-        # elements sharing node k: flux integrals vanish by orthogonality
-        h_start[k] = h_end[k] = 0.0
-        h_start[before] = h_end[before] = 0.0
-        # potential integrals: exact log moments, near value at the singular node
-        g_near, g_far = singular_g_pair(lengths[k])
-        g_start[k], g_end[k] = g_near, g_far
-        g_near, g_far = singular_g_pair(lengths[before])
-        g_start[before], g_end[before] = g_far, g_near
-        np.add.at(H[k], element, h_start)
-        np.add.at(H[k], successor, h_end)
-        np.add.at(G[k], element, g_start)
-        np.add.at(G[k], successor, g_end)
-
-    u_nodes = np.asarray(problem.u(nodes), dtype=float)
-    return BemSystem(mesh, H, G, free_term(n), u_nodes)
+    # elements sharing node 0: flux integrals vanish by orthogonality
+    h_start[[0, -1]] = h_end[[0, -1]] = 0.0
+    # potential integrals: exact log moments, near value at the singular node
+    g_start[0], g_end[0] = singular_g_pair(lengths[0])
+    g_end[-1], g_start[-1] = singular_g_pair(lengths[-1])
+    # node j collects the start of element j and the end of element j-1
+    h_row = h_start + np.roll(h_end, 1)
+    g_row = g_start + np.roll(g_end, 1)
+    u_nodes = np.asarray(problem.u(mesh.nodes), dtype=float)
+    return BemSystem(mesh, h_row, g_row, free_term(mesh.n), u_nodes)

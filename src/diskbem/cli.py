@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,15 +99,7 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("--n-list is required in convergence mode")
     if args.n_list is not None and any(n < 3 for n in args.n_list):
         parser.error("every entry of --n-list must be at least 3")
-    return RunConfig(
-        problem=args.problem,
-        boundary_nodes=args.boundary_nodes,
-        interior_grid=args.interior_grid,
-        quad_order=args.quad_order,
-        mode=args.mode,
-        n_list=args.n_list,
-        output_dir=args.output_dir,
-    )
+    return RunConfig(**vars(args))
 
 
 # ----------------------------------------------------------------------
@@ -137,39 +129,19 @@ def _boundary_flux_csv(solution, problem) -> str:
     q_exact = np.asarray(problem.q(nodes), dtype=float)
     lines = ["node,x,y,theta,q_bem,q_exact,abs_err"]
     for k, theta in enumerate(solution.mesh.angles):
-        lines.append(
-            ",".join(
-                [
-                    str(k + 1),
-                    _fmt(nodes[k, 0]),
-                    _fmt(nodes[k, 1]),
-                    _fmt(theta),
-                    _fmt(solution.q_nodes[k]),
-                    _fmt(q_exact[k]),
-                    _fmt(abs(solution.q_nodes[k] - q_exact[k])),
-                ]
-            )
-        )
+        q = solution.q_nodes[k]
+        values = (nodes[k, 0], nodes[k, 1], theta, q, q_exact[k], abs(q - q_exact[k]))
+        lines.append(",".join([str(k + 1), *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 
 
 def _interior_csv(report) -> str:
     lines = ["k,x,y,u_bem,u_exact,abs_err,rel_err"]
     for k in range(len(report)):
+        x, y = report.points[k]
+        values = (x, y, report.u_bem[k], report.u_exact[k], report.abs_err[k])
         rel = report.rel_err[k]
-        lines.append(
-            ",".join(
-                [
-                    str(k + 1),
-                    _fmt(report.points[k, 0]),
-                    _fmt(report.points[k, 1]),
-                    _fmt(report.u_bem[k]),
-                    _fmt(report.u_exact[k]),
-                    _fmt(report.abs_err[k]),
-                    "" if np.isnan(rel) else _fmt(rel),
-                ]
-            )
-        )
+        lines.append(",".join([str(k + 1), *map(_fmt, values), "" if np.isnan(rel) else _fmt(rel)]))
     return "\n".join(lines) + "\n"
 
 
@@ -178,18 +150,9 @@ def _convergence_csv(rows: list[ConvergenceRow]) -> str:
     for row in rows:
         if row.stats is None:
             continue
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    _fmt(row.stats.max_abs),
-                    _fmt(row.stats.max_rel),
-                    _fmt(row.stats.mean_abs),
-                    _fmt(row.stats.mean_rel),
-                    _fmt(row.wall_time_s),
-                ]
-            )
-        )
+        stats = row.stats
+        values = (stats.max_abs, stats.max_rel, stats.mean_abs, stats.mean_rel, row.wall_time_s)
+        lines.append(",".join([str(row.n), *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -222,15 +185,7 @@ def run(config: RunConfig) -> dict:
                 print(f"convergence row n={row.n} failed: {row.error}", file=sys.stderr)
 
     report_dict = {
-        "config": {
-            "problem": config.problem,
-            "boundary_nodes": config.boundary_nodes,
-            "interior_grid": config.interior_grid,
-            "quad_order": config.quad_order,
-            "mode": config.mode,
-            "n_list": list(config.n_list) if config.n_list is not None else None,
-            "output_dir": config.output_dir,
-        },
+        "config": {**asdict(config), "n_list": list(config.n_list) if config.n_list else None},
         "interior_stats": interior_stats.as_dict(),
         "flux_stats": flux_stats.as_dict(),
         "n_rel_excluded": interior_stats.n_rel_excluded,
@@ -297,7 +252,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # dense H and G need 16*n^2 bytes, so a large --boundary-nodes ends here
+        # a --boundary-nodes too large for the machine's memory ends here
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0

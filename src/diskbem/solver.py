@@ -1,8 +1,10 @@
-"""Direct solution of the assembled system and interior field evaluation.
+"""Circulant solution of the assembled system and interior field evaluation.
 
-With Dirichlet data u prescribed, the collocation system is solved for the
-nodal fluxes q from G q = c u + H u by dense LU factorization with partial
-pivoting.  The interior representation then reads
+With Dirichlet data u prescribed, the collocation system G q = c u + H u is
+solved for the nodal fluxes q.  G and H are circulant, so the discrete Fourier
+transform diagonalizes both (P. J. Davis, *Circulant Matrices*, 1979): every
+product and the solve itself are elementwise in Fourier space, O(n log n) time
+and O(n) memory.  The interior representation then reads
 
     u(p) = sum_j G_p[j] q_j - sum_j H_p[j] u_j,
 
@@ -15,11 +17,9 @@ length are flagged rather than rejected.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import BemSystem, _regular_rows
 from .geometry import BoundaryMesh, InteriorGrid
@@ -41,14 +41,15 @@ __all__ = [
 # error statistics (the ratio would be meaningless).
 REL_EXCLUSION_THRESHOLD = 1e-12
 
-# Smallest acceptable LU pivot magnitude before the system is declared singular.
+# Smallest acceptable eigenvalue magnitude of G before the system is declared
+# singular.
 PIVOT_THRESHOLD = 1e-12
 
 _RESIDUAL_FACTOR = 1e-10
 
 
 class SolveError(RuntimeError):
-    """Dense solve failed; ``smallest_pivot`` carries the offending pivot."""
+    """Flux solve failed; ``smallest_pivot`` carries the smallest |eigenvalue| of G."""
 
     def __init__(self, message: str, smallest_pivot: float | None = None):
         super().__init__(message)
@@ -106,23 +107,32 @@ class FieldReport:
         return len(self.points)
 
 
+def _circulant_product(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the circulant with eigenvalues ``spectrum`` (from rfft) and x."""
+    return np.fft.irfft(spectrum * np.fft.rfft(x), len(x))
+
+
 def solve_flux(system: BemSystem) -> BoundarySolution:
-    """Solve G q = (c + H) u for the nodal fluxes by LU with partial pivoting."""
-    rhs = system.c * system.u_nodes + system.H @ system.u_nodes
-    with warnings.catch_warnings():
-        # an exactly singular G is reported through SolveError below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(system.G)
-    smallest = float(np.min(np.abs(np.diag(lu))))
-    if smallest < PIVOT_THRESHOLD:
+    """Solve G q = (c + H) u for the nodal fluxes by diagonalizing G.
+
+    The circulant whose row k is ``np.roll(row, k)`` has the eigenvalues
+    ``conj(rfft(row))`` (plus their conjugates) on the Fourier modes.
+    """
+    h_spectrum = np.conj(np.fft.rfft(system.h_row))
+    g_spectrum = np.conj(np.fft.rfft(system.g_row))
+    rhs = system.c * system.u_nodes + _circulant_product(h_spectrum, system.u_nodes)
+    smallest = float(np.min(np.abs(g_spectrum)))
+    # both checks are written so that NaN data fails them too
+    if not smallest >= PIVOT_THRESHOLD:
         raise SolveError(
-            f"influence matrix is numerically singular: smallest pivot {smallest:.3e}",
+            f"influence matrix is numerically singular: smallest |eigenvalue| {smallest:.3e}",
             smallest_pivot=smallest,
         )
-    q = scipy.linalg.lu_solve((lu, piv), rhs)
-    residual = float(np.max(np.abs(system.G @ q - rhs)))
+    # the inverse of a circulant is the circulant with reciprocal eigenvalues
+    q = _circulant_product(1.0 / g_spectrum, rhs)
+    residual = float(np.max(np.abs(_circulant_product(g_spectrum, q) - rhs)))
     bound = _RESIDUAL_FACTOR * float(np.max(np.abs(rhs)))
-    if residual > bound:
+    if not residual <= bound:
         raise SolveError(
             f"solve residual {residual:.3e} exceeds {bound:.3e}",
             smallest_pivot=smallest,

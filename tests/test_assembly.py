@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import diskbem.assembly
 from diskbem import (
+    BemSystem,
     BoundaryMesh,
     assemble,
     discretize_circle,
@@ -141,6 +143,28 @@ def test_assemble_shapes_and_metadata(system30, mesh30):
     )
 
 
+def test_system_stores_only_read_only_first_rows(system30, mesh30):
+    assert system30.h_row.shape == system30.g_row.shape == (30,)
+    for array in (system30.h_row, system30.g_row, system30.H, system30.G):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(ValueError, match="shape"):
+        BemSystem(mesh30, system30.H, system30.G, system30.c, system30.u_nodes)
+
+
+def test_assemble_integrates_a_single_row(monkeypatch, mesh30, problem1, rule8):
+    sources = []
+
+    def counting(mesh, source, rule):
+        sources.append(source)
+        return _regular_rows(mesh, source, rule)
+
+    monkeypatch.setattr(diskbem.assembly, "_regular_rows", counting)
+    assemble(mesh30, problem1, rule8)
+    assert len(sources) == 1
+    assert np.array_equal(sources[0], mesh30.nodes[0])
+
+
 def test_assemble_is_deterministic(mesh30, problem1, rule8):
     a = assemble(mesh30, problem1, rule8)
     b = assemble(mesh30, problem1, rule8)
@@ -161,10 +185,13 @@ def test_potential_diagonal_is_twice_the_near_value(system30, mesh30):
 
 def test_matrices_are_circulant(system30):
     # every collocation row sees the same geometry, rotated
-    for name, matrix in (("H", system30.H), ("G", system30.G)):
+    for name, matrix, row in (
+        ("H", system30.H, system30.h_row),
+        ("G", system30.G, system30.g_row),
+    ):
         for k in range(system30.n):
-            assert np.allclose(
-                matrix[k], np.roll(matrix[0], k), atol=1e-12
+            assert np.array_equal(
+                matrix[k], np.roll(row, k)
             ), f"{name} row {k} breaks the circulant structure"
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +226,38 @@ def test_convergence_mode_outputs(tmp_path, capsys):
 
     captured = capsys.readouterr().out
     assert "observed orders between rows:" in captured
+
+
+def test_a_default_run_loads_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys\n"
+        "from diskbem.cli import main\n"
+        f"code = main(['--problem', '1', '--output-dir', {str(tmp_path / 'out')!r}])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_large_boundary_completes(tmp_path):
+    # dense H and G alone would need 6.4 GB at this size
+    out = tmp_path / "out"
+    argv = ["--problem", "1", "--boundary-nodes", "20000", "--interior-grid", "3"]
+    assert main(argv + ["--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "boundary_flux.csv",
+        "interior.csv",
+        "report.json",
+    ]
+    rows = np.loadtxt(out / "boundary_flux.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (20000, 7)
+    assert np.max(np.abs(rows[:, 4] - rows[:, 5])) <= 1e-4
 
 
 # ----------------------------------------------------------------------
