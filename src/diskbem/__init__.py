@@ -3,8 +3,8 @@
 The boundary is discretized into straight elements with piecewise-linear
 nodal shape functions; collocation at the nodes produces a circulant system,
 solved by FFT, whose solution is the outward normal flux, after which the
-field anywhere inside the disk follows from the boundary integral
-representation.
+field anywhere strictly inside the boundary polygon follows from the boundary
+integral representation.
 
 Typical use::
 

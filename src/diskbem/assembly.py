@@ -100,28 +100,28 @@ def free_term(n: int) -> float:
     return (n - 2) / (2.0 * n)
 
 
-def _regular_rows(mesh: BoundaryMesh, source: np.ndarray, rule: QuadratureRule):
-    """Gauss contributions of every element to the collocation row at ``source``.
+def _regular_rows(mesh: BoundaryMesh, sources: np.ndarray, rule: QuadratureRule):
+    """Gauss contributions of every element to the row at each of ``sources``.
 
-    Returns (h_start, h_end, g_start, g_end), each of shape (n,): the flux and
-    potential integrals weighted by the shape functions of the element's first
-    and second node.  Elements that contain ``source`` as an endpoint come out
-    finite but meaningless here; ``assemble`` overwrites them for node 0.
+    ``sources`` has shape (..., 2): one source point, or a block of them.
+    Returns (h_start, h_end, g_start, g_end), each of shape (..., n): the flux
+    and potential integrals weighted by the shape functions of the element's
+    first and second node.  Elements that contain a source as an endpoint come
+    out finite but meaningless here; ``assemble`` overwrites them for node 0.
     """
     t = rule.points
-    halves = mesh.halves[np.newaxis, :, :]
-    field = mesh.midpoints[np.newaxis, :, :] + t[:, np.newaxis, np.newaxis] * halves
-    diff = field - source[np.newaxis, np.newaxis, :]
+    field = mesh.midpoints + t[:, np.newaxis, np.newaxis] * mesh.halves
+    diff = field - np.asarray(sources)[..., np.newaxis, np.newaxis, :]
     r2 = np.sum(diff * diff, axis=-1)
-    flux = _flux(np.einsum("tej,ej->te", diff, mesh.normals), r2)
+    flux = _flux(np.einsum("...tej,ej->...te", diff, mesh.normals), r2)
     potential = _potential(r2)
     w_start = (rule.weights * basis_start(t))[:, np.newaxis]
     w_end = (rule.weights * basis_end(t))[:, np.newaxis]
     jacs = mesh.jacobians
-    h_start = jacs * np.sum(flux * w_start, axis=0)
-    h_end = jacs * np.sum(flux * w_end, axis=0)
-    g_start = jacs * np.sum(potential * w_start, axis=0)
-    g_end = jacs * np.sum(potential * w_end, axis=0)
+    h_start = jacs * np.sum(flux * w_start, axis=-2)
+    h_end = jacs * np.sum(flux * w_end, axis=-2)
+    g_start = jacs * np.sum(potential * w_start, axis=-2)
+    g_end = jacs * np.sum(potential * w_end, axis=-2)
     return h_start, h_end, g_start, g_end
 
 

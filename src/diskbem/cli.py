@@ -1,10 +1,11 @@
 """Command-line runner: solve a benchmark problem and write CSV/JSON outputs.
 
-Exit codes: 0 on success, 1 when assembly/solve/evaluation fails or runs out
-of memory (with a diagnostic on stderr), 2 for usage errors (nothing is
-written).  All files are written atomically (temp file then rename), with LF
-line endings and floats serialized via ``repr``, i.e. the shortest digit
-string that round-trips, so identical runs produce byte-identical outputs.
+Exit codes: 0 on success, 1 when assembly/solve/evaluation fails, an interior
+point lies outside the boundary polygon or memory runs out (with a diagnostic
+on stderr), 2 for usage errors (nothing is written).  All files are written
+atomically (temp file then rename), with LF line endings and floats serialized
+via ``repr``, i.e. the shortest digit string that round-trips, so identical
+runs produce byte-identical outputs.
 """
 
 from __future__ import annotations

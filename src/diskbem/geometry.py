@@ -69,11 +69,9 @@ class InteriorGrid:
     """Evaluation points strictly inside the unit disk.
 
     points : (k, 2) float array in row-major grid order (y varies slowest).
-    source_grid_size : the m of the m-by-m lattice the points were kept from.
     """
 
     points: np.ndarray
-    source_grid_size: int
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=float).reshape(-1, 2)
@@ -85,12 +83,7 @@ class InteriorGrid:
 
 
 def discretize_circle(n: int) -> BoundaryMesh:
-    """Inscribe a regular n-gon in the unit circle: the same as ``BoundaryMesh(n)``.
-
-    Node i (0-based) is placed at angle 2*pi*(i+1)/n, so the final node lands
-    exactly at angle 2*pi, i.e. (cos 2*pi, sin 2*pi) ~ (1, 0).  All chords have
-    equal length 2*sin(pi/n).
-    """
+    """Inscribe a regular n-gon in the unit circle: the same as ``BoundaryMesh(n)``."""
     return BoundaryMesh(n)
 
 
@@ -106,4 +99,4 @@ def interior_grid(m: int) -> InteriorGrid:
     coords = np.arange(m) * (2.0 / (m - 1)) - 1.0
     points = np.column_stack([np.tile(coords, m), np.repeat(coords, m)])
     inside = points[:, 0] ** 2 + points[:, 1] ** 2 < 1.0
-    return InteriorGrid(points[inside], m)
+    return InteriorGrid(points[inside])

@@ -8,11 +8,11 @@ and O(n) memory.  The interior representation then reads
 
     u(p) = sum_j G_p[j] q_j - sum_j H_p[j] u_j,
 
-where the influence rows G_p, H_p are the same element integrals evaluated at
-the interior point p (whose free term is exactly 1, already folded in).  No
-singular integrals arise for strictly interior points, but quadrature accuracy
-degrades as p approaches the boundary; points closer than half an element
-length are flagged rather than rejected.
+where G_p, H_p are the element integrals of the assembly rows taken at p
+(whose free term is exactly 1, already folded in), computed for a block of
+points at a time.  p must lie strictly inside the inscribed polygon, so no
+integral is singular, but accuracy degrades near the boundary: points closer
+than half an element length are flagged.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ REL_EXCLUSION_THRESHOLD = 1e-12
 PIVOT_THRESHOLD = 1e-12
 
 _RESIDUAL_FACTOR = 1e-10
+
+# (point, Gauss point, element) triples per block of interior evaluation
+_BLOCK_TRIPLES = 2**14
 
 
 class SolveError(RuntimeError):
@@ -140,20 +143,31 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
     return BoundarySolution(system.mesh, system.u_nodes, q)
 
 
+def _represent(solution: BoundarySolution, points: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """u at each row of the (P, 2) ``points``, one ``_regular_rows`` call per block."""
+    mesh, u, q = solution.mesh, solution.u_nodes, solution.q_nodes
+    u_next, q_next = np.roll(u, -1), np.roll(q, -1)
+    apothems = np.sum(mesh.midpoints * mesh.normals, axis=1)
+    block = max(1, _BLOCK_TRIPLES // (mesh.n * rule.order))
+    values = np.empty(len(points))
+    for start in range(0, len(points), block):
+        sources = points[start : start + block]
+        # strictly inside every chord's half-plane, written so that NaN fails
+        inside = np.all(sources @ mesh.normals.T < apothems, axis=1)
+        if not np.all(inside):
+            point = sources[np.argmin(inside)].tolist()
+            raise ValueError(f"point {point} is not strictly inside the boundary polygon")
+        h_start, h_end, g_start, g_end = _regular_rows(mesh, sources, rule)
+        # each sum runs over one point's row, so no value depends on its block
+        single_layer = np.sum(g_start * q + g_end * q_next, axis=-1)
+        double_layer = np.sum(h_start * u + h_end * u_next, axis=-1)
+        values[start : start + block] = single_layer - double_layer
+    return values
+
+
 def evaluate_interior(solution: BoundarySolution, point, rule: QuadratureRule) -> float:
-    """Evaluate the boundary-integral representation at a strictly interior point."""
-    point = np.asarray(point, dtype=float)
-    # written so that a NaN coordinate fails the test too
-    if not np.hypot(point[0], point[1]) < 1.0:
-        raise ValueError(f"point {point.tolist()} is not strictly inside the unit disk")
-    h_start, h_end, g_start, g_end = _regular_rows(solution.mesh, point, rule)
-    u = solution.u_nodes
-    q = solution.q_nodes
-    u_next = np.roll(u, -1)
-    q_next = np.roll(q, -1)
-    single_layer = float(np.sum(g_start * q + g_end * q_next))
-    double_layer = float(np.sum(h_start * u + h_end * u_next))
-    return single_layer - double_layer
+    """Evaluate the representation at one point strictly inside the boundary polygon."""
+    return float(_represent(solution, np.asarray(point, dtype=float).reshape(1, 2), rule)[0])
 
 
 def evaluate_field(
@@ -164,7 +178,7 @@ def evaluate_field(
 ) -> FieldReport:
     """Evaluate the solution on a grid and compare with the exact field."""
     points = grid.points
-    u_bem = np.array([evaluate_interior(solution, p, rule) for p in points])
+    u_bem = _represent(solution, points, rule)
     u_exact = np.asarray(problem.u(points), dtype=float)
     half_length = float(np.max(solution.mesh.jacobians))
     flags = 1.0 - np.hypot(points[:, 0], points[:, 1]) < half_length

@@ -127,6 +127,20 @@ def test_interior_source_element_integrals_match_composite_quadrature(rule8):
         assert np.allclose(rows[:, i], brute, atol=1e-9)
 
 
+def test_rows_for_a_block_of_sources_equal_the_single_source_rows(mesh30, rule8):
+    # a (3, 4, 2) block of sources gives (3, 4, n) rows, each bitwise equal
+    # to the row of its source passed alone
+    sources = np.stack(
+        [np.linspace(-0.9, 0.9, 12), np.linspace(0.5, -0.7, 12)], axis=-1
+    ).reshape(3, 4, 2)
+    block = _regular_rows(mesh30, sources, rule8)
+    for index in np.ndindex(3, 4):
+        single = _regular_rows(mesh30, sources[index], rule8)
+        for rows, row in zip(block, single):
+            assert rows.shape == (3, 4, 30)
+            assert np.array_equal(rows[index], row)
+
+
 # ----------------------------------------------------------------------
 # assembled system
 # ----------------------------------------------------------------------

@@ -289,6 +289,16 @@ def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "interior evaluation exploded" in capsys.readouterr().err
 
 
+def test_points_outside_the_boundary_polygon_exit_one(tmp_path, capsys):
+    # the 11-point lattice keeps points beyond the chords of the square
+    out = tmp_path / "out"
+    argv = ["--problem", "1", "--boundary-nodes", "4", "--interior-grid", "11"]
+    code = main([*argv, "--output-dir", str(out)])
+    assert code == 1
+    assert "is not strictly inside the boundary polygon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_memory_exits_one_with_a_one_line_error(tmp_path, monkeypatch, capsys):
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.16 TiB for an array with shape (400000, 400000)")

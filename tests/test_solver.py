@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import diskbem.solver
 from diskbem import (
     BemSystem,
     BoundarySolution,
@@ -18,6 +19,7 @@ from diskbem import (
     interior_grid,
     solve_flux,
 )
+from diskbem.assembly import _regular_rows
 from diskbem.solver import REL_EXCLUSION_THRESHOLD
 
 
@@ -132,11 +134,50 @@ def test_interior_value_near_the_boundary_band(solution30, rule8):
 
 
 @pytest.mark.parametrize(
-    "point", [(1.0, 0.0), (0.0, -1.0), (0.8, 0.7), (2.0, 0.0), (np.nan, 0.0), (0.0, np.nan)]
+    "point",
+    [(1.0, 0.0), (0.0, -1.0), (0.8, 0.7), (2.0, 0.0), (np.nan, 0.0), (0.0, np.nan), (0.0, 0.999)],
 )
 def test_interior_evaluation_rejects_outside_points(solution30, rule8, point):
+    # (0, 0.999) is inside the circle but outside the 30-gon (apothem 0.9945)
     with pytest.raises(ValueError, match="inside"):
         evaluate_interior(solution30, point, rule8)
+
+
+def test_points_between_polygon_and_circle_are_refused(problem1, rule8):
+    # on the ray through the midpoint of element n-1, r = 0.9999 lies beyond
+    # the chord of the 120-gon (apothem 0.99966) but inside the unit circle
+    solution = solve_flux(assemble(discretize_circle(120), problem1, rule8))
+    angle = np.pi / 120
+    point = (0.9999 * np.cos(angle), 0.9999 * np.sin(angle))
+    with pytest.raises(ValueError, match="not strictly inside the boundary polygon"):
+        evaluate_interior(solution, point, rule8)
+    grid = InteriorGrid([(0.0, 0.0), (0.5, 0.5), point, (-0.3, 0.2)])
+    with pytest.raises(ValueError, match="not strictly inside the boundary polygon"):
+        evaluate_field(solution, grid, problem1, rule8)
+
+
+def test_evaluate_field_runs_in_blocks(monkeypatch, problem1, rule8):
+    # n = 60: four points of the 41-point lattice lie outside the 30-gon
+    solution = solve_flux(assemble(discretize_circle(60), problem1, rule8))
+    grid = interior_grid(41)
+    blocks = []
+
+    def counting(mesh, sources, rule):
+        blocks.append(len(sources))
+        return _regular_rows(mesh, sources, rule)
+
+    monkeypatch.setattr(diskbem.solver, "_regular_rows", counting)
+    evaluate_field(solution, grid, problem1, rule8)
+    assert sum(blocks) == len(grid) == 1245
+    assert len(blocks) < len(grid) // 10
+
+
+def test_a_point_gets_the_same_value_in_any_block(problem1, rule8):
+    # at n = 60 the 1245 points of the 41-point lattice span many blocks
+    solution = solve_flux(assemble(discretize_circle(60), problem1, rule8))
+    report = evaluate_field(solution, interior_grid(41), problem1, rule8)
+    for k, point in enumerate(report.points):
+        assert evaluate_interior(solution, point, rule8) == report.u_bem[k]
 
 
 def test_symmetry_of_the_discrete_field(solution30, rule8):
@@ -160,8 +201,9 @@ def test_constant_field_is_reproduced_inside(mesh30, rule8):
 
 
 def test_near_boundary_predicate(solution30, problem1, rule8):
-    # flagged when within half an element length (0.1045 at n = 30) of the circle
-    grid = InteriorGrid([(0.0, 0.0), (0.8, 0.0), (0.95, 0.0), (0.0, 0.999)], 0)
+    # flagged when within half an element length (0.1045 at n = 30) of the
+    # circle; (0, 0.99) is still inside the 30-gon, whose apothem is 0.9945
+    grid = InteriorGrid([(0.0, 0.0), (0.8, 0.0), (0.95, 0.0), (0.0, 0.99)])
     report = evaluate_field(solution30, grid, problem1, rule8)
     assert report.near_boundary.tolist() == [False, False, True, True]
 
