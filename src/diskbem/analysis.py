@@ -103,8 +103,9 @@ def convergence_study(
     """Solve the same problem over several boundary resolutions.
 
     The interior grid is held fixed at size m while n runs through n_list
-    (reported in ascending order).  A failure at one resolution is recorded
-    in its row and does not abort the others.
+    (reported in ascending order).  A ValueError, RuntimeError (SolveError
+    included) or MemoryError at one resolution is recorded in its row and does
+    not abort the others; any other exception, such as a bug, propagates.
     """
     n_values = sorted(int(n) for n in n_list)
     if not n_values:
@@ -118,7 +119,7 @@ def convergence_study(
             solution = solve_flux(system)
             report = evaluate_field(solution, grid, problem, rule)
             stats = error_stats(report)
-        except Exception as exc:
+        except (ValueError, RuntimeError, MemoryError) as exc:
             rows.append(ConvergenceRow(n, None, time.perf_counter() - start, str(exc)))
             continue
         rows.append(ConvergenceRow(n, stats, time.perf_counter() - start))

@@ -47,14 +47,13 @@ class BemSystem:
 
     h_row and g_row are row 0 of H and G, read-only float64 arrays of shape
     (n,); row k of either matrix is its row 0 rolled by k and collocates at
-    node k.  c is the free-term coefficient shared by all rows of the uniform
-    circle mesh, and u_nodes holds the Dirichlet data sampled at the nodes.
+    node k.  u_nodes holds the Dirichlet data sampled at the nodes.  The free
+    term c is not stored: it follows from the mesh.
     """
 
     mesh: BoundaryMesh
     h_row: np.ndarray
     g_row: np.ndarray
-    c: float
     u_nodes: np.ndarray
 
     def __post_init__(self) -> None:
@@ -66,8 +65,9 @@ class BemSystem:
             object.__setattr__(self, name, row)
 
     @property
-    def n(self) -> int:
-        return self.mesh.n
+    def c(self) -> float:
+        """Free-term coefficient shared by every row: ``free_term(mesh.n)``."""
+        return free_term(self.mesh.n)
 
     @property
     def H(self) -> np.ndarray:
@@ -144,4 +144,4 @@ def assemble(mesh: BoundaryMesh, problem: TestProblem, rule: QuadratureRule) -> 
     h_row = h_start + np.roll(h_end, 1)
     g_row = g_start + np.roll(g_end, 1)
     u_nodes = np.asarray(problem.u(mesh.nodes), dtype=float)
-    return BemSystem(mesh, h_row, g_row, free_term(mesh.n), u_nodes)
+    return BemSystem(mesh, h_row, g_row, u_nodes)

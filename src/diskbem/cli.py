@@ -46,12 +46,10 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("n-list must not be empty")
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_args(argv=None) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="diskbem",
         description="Boundary element solution of Dirichlet Laplace problems on the unit disk.",
@@ -84,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-dir", default="./out", metavar="DIR",
         help="directory for the output files (default ./out)",
     )
-    return parser
-
-
-def parse_args(argv=None) -> RunConfig:
-    parser = build_parser()
     args = parser.parse_args(argv)
     if args.boundary_nodes < 3:
         parser.error("--boundary-nodes must be at least 3")
@@ -109,13 +102,13 @@ def parse_args(argv=None) -> RunConfig:
 
 
 def _fmt(value: float) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return repr(float(value))
+    """Shortest decimal string that round-trips the float; empty for an undefined (NaN) value."""
+    text = repr(float(value))
+    return "" if text == "nan" else text
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
@@ -125,36 +118,30 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _csv(header: str, labels, *columns) -> str:
+    """The header, then per label: the label and that row of every column."""
+    rows = (",".join([str(label), *map(_fmt, values)])
+            for label, *values in zip(labels, *columns, strict=True))
+    return "\n".join([header, *rows]) + "\n"
+
+
 def _boundary_flux_csv(solution, problem) -> str:
-    nodes = solution.mesh.nodes
-    q_exact = np.asarray(problem.q(nodes), dtype=float)
-    lines = ["node,x,y,theta,q_bem,q_exact,abs_err"]
-    for k, theta in enumerate(solution.mesh.angles):
-        q = solution.q_nodes[k]
-        values = (nodes[k, 0], nodes[k, 1], theta, q, q_exact[k], abs(q - q_exact[k]))
-        lines.append(",".join([str(k + 1), *map(_fmt, values)]))
-    return "\n".join(lines) + "\n"
+    mesh, q = solution.mesh, solution.q_nodes
+    q_exact = np.asarray(problem.q(mesh.nodes), dtype=float)
+    columns = (*mesh.nodes.T, mesh.angles, q, q_exact, np.abs(q - q_exact))
+    return _csv("node,x,y,theta,q_bem,q_exact,abs_err", range(1, mesh.n + 1), *columns)
 
 
 def _interior_csv(report) -> str:
-    lines = ["k,x,y,u_bem,u_exact,abs_err,rel_err"]
-    for k in range(len(report)):
-        x, y = report.points[k]
-        values = (x, y, report.u_bem[k], report.u_exact[k], report.abs_err[k])
-        rel = report.rel_err[k]
-        lines.append(",".join([str(k + 1), *map(_fmt, values), "" if np.isnan(rel) else _fmt(rel)]))
-    return "\n".join(lines) + "\n"
+    columns = (*report.points.T, report.u_bem, report.u_exact, report.abs_err, report.rel_err)
+    return _csv("k,x,y,u_bem,u_exact,abs_err,rel_err", range(1, len(report) + 1), *columns)
 
 
 def _convergence_csv(rows: list[ConvergenceRow]) -> str:
-    lines = ["n,max_abs,max_rel,mean_abs,mean_rel,wall_time_s"]
-    for row in rows:
-        if row.stats is None:
-            continue
-        stats = row.stats
-        values = (stats.max_abs, stats.max_rel, stats.mean_abs, stats.mean_rel, row.wall_time_s)
-        lines.append(",".join([str(row.n), *map(_fmt, values)]))
-    return "\n".join(lines) + "\n"
+    done = [row for row in rows if row.stats is not None]
+    table = [(r.stats.max_abs, r.stats.max_rel, r.stats.mean_abs, r.stats.mean_rel, r.wall_time_s)
+             for r in done]
+    return _csv("n,max_abs,max_rel,mean_abs,mean_rel,wall_time_s", [r.n for r in done], *zip(*table))
 
 
 # ----------------------------------------------------------------------
@@ -181,28 +168,6 @@ def run(config: RunConfig) -> dict:
     rows: list[ConvergenceRow] = []
     if config.mode == "convergence":
         rows = convergence_study(problem, config.n_list, config.interior_grid, rule)
-        for row in rows:
-            if row.stats is None:
-                print(f"convergence row n={row.n} failed: {row.error}", file=sys.stderr)
-
-    report_dict = {
-        "config": {**asdict(config), "n_list": list(config.n_list) if config.n_list else None},
-        "interior_stats": interior_stats.as_dict(),
-        "flux_stats": flux_stats.as_dict(),
-        "n_rel_excluded": interior_stats.n_rel_excluded,
-        "near_boundary_points": [int(k + 1) for k in np.flatnonzero(report.near_boundary)],
-        "wall_time_s": wall_time,
-    }
-    if config.mode == "convergence":
-        report_dict["convergence"] = [
-            {
-                "n": row.n,
-                "stats": row.stats.as_dict() if row.stats is not None else None,
-                "wall_time_s": row.wall_time_s,
-                "error": row.error,
-            }
-            for row in rows
-        ]
 
     os.makedirs(config.output_dir, exist_ok=True)
 
@@ -211,7 +176,16 @@ def run(config: RunConfig) -> dict:
 
     _write_atomic(out("boundary_flux.csv"), _boundary_flux_csv(solution, problem))
     _write_atomic(out("interior.csv"), _interior_csv(report))
-    if config.mode == "convergence":
+    report_dict = {
+        "config": asdict(config),
+        "interior_stats": interior_stats.as_dict(),
+        "flux_stats": flux_stats.as_dict(),
+        "n_rel_excluded": interior_stats.n_rel_excluded,
+        "near_boundary_points": [int(k + 1) for k in np.flatnonzero(report.near_boundary)],
+        "wall_time_s": wall_time,
+    }
+    if rows:
+        report_dict["convergence"] = [asdict(row) for row in rows]
         _write_atomic(out("convergence.csv"), _convergence_csv(rows))
     _write_atomic(out("report.json"), json.dumps(report_dict, indent=2) + "\n")
 
@@ -226,16 +200,14 @@ def run(config: RunConfig) -> dict:
         f"mean_abs={interior_stats.mean_abs:.8e} "
         f"mean_rel={interior_stats.mean_rel:.8e}"
     )
-    if config.mode == "convergence":
-        for row in rows:
-            if row.stats is not None:
-                print(
-                    f"  n={row.n:5d}  max_abs={row.stats.max_abs:.8e}  "
-                    f"wall={row.wall_time_s:.3f} s"
-                )
-        orders = empirical_orders(rows)
-        if orders:
-            print("observed orders between rows: " + ", ".join(f"{o:.2f}" for o in orders))
+    for row in rows:
+        if row.stats is None:
+            print(f"convergence row n={row.n} failed: {row.error}", file=sys.stderr)
+        else:
+            print(f"  n={row.n:5d}  max_abs={row.stats.max_abs:.8e}  wall={row.wall_time_s:.3f} s")
+    orders = empirical_orders(rows)
+    if orders:
+        print("observed orders between rows: " + ", ".join(f"{o:.2f}" for o in orders))
     print(f"wall time {wall_time:.3f} s")
     return report_dict
 

@@ -66,9 +66,11 @@ class BoundaryMesh:
 
 @dataclass(frozen=True)
 class InteriorGrid:
-    """Evaluation points strictly inside the unit disk.
+    """Interior evaluation points as the caller gives them; no position is checked here.
 
-    points : (k, 2) float array in row-major grid order (y varies slowest).
+    points : (k, 2) float array.  ``interior_grid`` keeps only lattice points
+    strictly inside the circle, in row-major order (y varies slowest), and
+    evaluation refuses any point not strictly inside the boundary polygon.
     """
 
     points: np.ndarray

@@ -42,19 +42,26 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on [-1, 1].  Weights sum to 2, nodes are increasing."""
+    """Nodes and weights on [-1, 1], non-empty 1-D arrays whose common length is ``order``."""
 
     points: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=float)
         weights = np.array(self.weights, dtype=float)
+        if points.ndim != 1 or points.size == 0 or weights.shape != points.shape:
+            shapes = f"{points.shape} and {weights.shape}"
+            raise ValueError(f"points and weights must be non-empty 1-D of one length, got {shapes}")
         points.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def order(self) -> int:
+        """Number of nodes."""
+        return len(self.points)
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
@@ -67,7 +74,7 @@ def gauss_legendre(order: int) -> QuadratureRule:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in 1..{MAX_ORDER}, got {order}")
     points, weights = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(points, weights, order)
+    return QuadratureRule(points, weights)
 
 
 def basis_start(t):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import diskbem.analysis
 from diskbem import (
     ConvergenceRow,
     ErrorStats,
@@ -168,6 +169,15 @@ def test_convergence_study_records_failures(problem1, rule8):
     assert rows[0].stats is None
     assert rows[0].error  # discretize_circle rejects n = 2
     assert rows[1].stats is not None
+
+
+def test_convergence_study_lets_programming_errors_propagate(monkeypatch, problem1, rule8):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed resolution")
+
+    monkeypatch.setattr(diskbem.analysis, "solve_flux", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        convergence_study(problem1, [15, 30], m=11, rule=rule8)
 
 
 def test_empirical_orders_near_two(problem1, rule8):

@@ -147,7 +147,7 @@ def test_rows_for_a_block_of_sources_equal_the_single_source_rows(mesh30, rule8)
 
 
 def test_assemble_shapes_and_metadata(system30, mesh30):
-    assert system30.n == 30
+    assert system30.mesh.n == 30
     assert system30.H.shape == (30, 30)
     assert system30.G.shape == (30, 30)
     assert system30.c == pytest.approx(free_term(30), rel=1e-15)
@@ -163,7 +163,7 @@ def test_system_stores_only_read_only_first_rows(system30, mesh30):
         with pytest.raises(ValueError):
             array[0] = 1.0
     with pytest.raises(ValueError, match="shape"):
-        BemSystem(mesh30, system30.H, system30.G, system30.c, system30.u_nodes)
+        BemSystem(mesh30, system30.H, system30.G, system30.u_nodes)
 
 
 def test_assemble_integrates_a_single_row(monkeypatch, mesh30, problem1, rule8):
@@ -203,7 +203,7 @@ def test_matrices_are_circulant(system30):
         ("H", system30.H, system30.h_row),
         ("G", system30.G, system30.g_row),
     ):
-        for k in range(system30.n):
+        for k in range(system30.mesh.n):
             assert np.array_equal(
                 matrix[k], np.roll(row, k)
             ), f"{name} row {k} breaks the circulant structure"

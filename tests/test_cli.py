@@ -228,6 +228,23 @@ def test_convergence_mode_outputs(tmp_path, capsys):
     assert "observed orders between rows:" in captured
 
 
+def test_a_failed_convergence_row_is_reported_and_left_out(tmp_path, capsys):
+    # the triangle leaves lattice points outside it, so the n=3 row fails
+    out = tmp_path / "out"
+    argv = ["--problem", "2", "--mode", "convergence", "--n-list", "3,30"]
+    assert main([*argv, "--output-dir", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("convergence row n=3 failed: ")
+    assert err[0].endswith("not strictly inside the boundary polygon")
+    lines = (out / "convergence.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["30"]
+    failed = json.loads((out / "report.json").read_text())["convergence"][0]
+    assert failed["n"] == 3
+    assert failed["stats"] is None
+    assert failed["error"]
+
+
 def test_a_default_run_loads_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = (

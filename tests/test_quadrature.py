@@ -106,8 +106,22 @@ def test_integrate_simple_functions():
 
 
 def test_quadrature_rule_accepts_custom_nodes():
-    rule = QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, 1.0]), 2)
+    rule = QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, 1.0]))
     assert rule.weights @ rule.points**2 == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([-0.5, 0.5], [1.0]),  # one weight short
+        ([], []),
+        ([[-0.5, 0.5]], [[1.0, 1.0]]),  # 2-D
+        (0.0, 2.0),  # scalars
+    ],
+)
+def test_quadrature_rule_rejects_malformed_nodes_and_weights(points, weights):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        QuadratureRule(np.array(points), np.array(weights))
 
 
 # ----------------------------------------------------------------------

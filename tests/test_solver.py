@@ -53,7 +53,7 @@ def test_singular_matrix_raises_with_pivot_diagnostic(mesh30):
     zero_sum = np.zeros(n)
     zero_sum[:2] = (1.0, -1.0)
     for g_row in (np.zeros(n), zero_sum):
-        degenerate = BemSystem(mesh30, np.zeros(n), g_row, 0.5, u)
+        degenerate = BemSystem(mesh30, np.zeros(n), g_row, u)
         with pytest.raises(SolveError, match="singular") as excinfo:
             solve_flux(degenerate)
         assert excinfo.value.smallest_pivot is not None
@@ -64,11 +64,11 @@ def test_non_finite_data_is_refused(system30):
     u = system30.u_nodes.copy()
     u[3] = np.nan
     with pytest.raises(SolveError, match="residual"):
-        solve_flux(BemSystem(system30.mesh, system30.h_row, system30.g_row, system30.c, u))
+        solve_flux(BemSystem(system30.mesh, system30.h_row, system30.g_row, u))
     g_row = system30.g_row.copy()
     g_row[3] = np.nan
     with pytest.raises(SolveError, match="singular"):
-        solve_flux(BemSystem(system30.mesh, system30.h_row, g_row, system30.c, system30.u_nodes))
+        solve_flux(BemSystem(system30.mesh, system30.h_row, g_row, system30.u_nodes))
 
 
 @pytest.mark.parametrize("pid, n", [(1, 30), (2, 30), (3, 30), (4, 30), (5, 30), (1, 480)])
@@ -104,9 +104,7 @@ def test_solve_is_linear_in_the_data(mesh30, rule8):
     s2 = assemble(mesh30, p2, rule8)
     q1 = solve_flux(s1).q_nodes
     q2 = solve_flux(s2).q_nodes
-    combined = BemSystem(
-        mesh30, s1.h_row, s1.g_row, s1.c, 2.0 * s1.u_nodes - 3.0 * s2.u_nodes
-    )
+    combined = BemSystem(mesh30, s1.h_row, s1.g_row, 2.0 * s1.u_nodes - 3.0 * s2.u_nodes)
     q = solve_flux(combined).q_nodes
     assert np.allclose(q, 2.0 * q1 - 3.0 * q2, atol=1e-12 * np.max(np.abs(q)))
 
