@@ -6,30 +6,25 @@ solved by FFT, whose solution is the outward normal flux, after which the
 field anywhere strictly inside the boundary polygon follows from the boundary
 integral representation.
 
-Typical use::
+Typical use, the whole pipeline at the reference resolution::
 
-    from diskbem import (
-        discretize_circle, interior_grid, get_problem, gauss_legendre,
-        assemble, solve_flux, evaluate_field, error_stats,
-    )
+    from diskbem import gauss_legendre, get_problem, interior_grid, solve_case
 
-    mesh = discretize_circle(30)
-    problem = get_problem(1)
-    rule = gauss_legendre(8)
-    solution = solve_flux(assemble(mesh, problem, rule))
-    report = evaluate_field(solution, interior_grid(11), problem, rule)
-    print(error_stats(report))
+    case = solve_case(get_problem(1), 30, interior_grid(11), gauss_legendre(8))
+    print(case.interior, case.flux, case.wall_time_s)
 """
 
 from .analysis import (
     ConvergenceRow,
     ErrorStats,
+    SolvedCase,
     convergence_study,
     empirical_orders,
     error_stats,
     flux_error_stats,
+    solve_case,
 )
-from .assembly import BemSystem, assemble, free_term
+from .assembly import BemSystem, assemble
 from .geometry import BoundaryMesh, InteriorGrid, discretize_circle, interior_grid
 from .kernels import (
     SingularKernelError,
@@ -41,11 +36,8 @@ from .problems import PROBLEM_IDS, TestProblem, constant_problem, get_problem
 from .quadrature import (
     MAX_ORDER,
     QuadratureRule,
-    basis_end,
-    basis_start,
     gauss_legendre,
     singular_g_pair,
-    singular_log_moments,
 )
 from .solver import (
     PIVOT_THRESHOLD,
@@ -75,10 +67,9 @@ __all__ = [
     "REL_EXCLUSION_THRESHOLD",
     "SingularKernelError",
     "SolveError",
+    "SolvedCase",
     "TestProblem",
     "assemble",
-    "basis_end",
-    "basis_start",
     "constant_problem",
     "convergence_study",
     "discretize_circle",
@@ -87,7 +78,6 @@ __all__ = [
     "evaluate_field",
     "evaluate_interior",
     "flux_error_stats",
-    "free_term",
     "fundamental_flux",
     "fundamental_solution",
     "gauss_legendre",
@@ -95,7 +85,7 @@ __all__ = [
     "interior_grid",
     "normal_flux",
     "singular_g_pair",
-    "singular_log_moments",
+    "solve_case",
     "solve_flux",
     "__version__",
 ]

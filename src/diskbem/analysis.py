@@ -1,4 +1,4 @@
-"""Error statistics and mesh-refinement studies.
+"""The solve pipeline, its error statistics and mesh-refinement studies.
 
 Relative errors are undefined where the exact solution (or exact flux)
 vanishes; such points are excluded from the relative statistics and counted
@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .assembly import assemble
-from .geometry import discretize_circle, interior_grid
+from .geometry import InteriorGrid, discretize_circle, interior_grid
 from .problems import TestProblem
 from .quadrature import QuadratureRule
 from .solver import (
@@ -26,9 +26,11 @@ from .solver import (
 
 __all__ = [
     "ErrorStats",
+    "SolvedCase",
     "ConvergenceRow",
     "error_stats",
     "flux_error_stats",
+    "solve_case",
     "convergence_study",
     "empirical_orders",
 ]
@@ -84,6 +86,28 @@ def flux_error_stats(solution: BoundarySolution, problem: TestProblem) -> ErrorS
 
 
 @dataclass(frozen=True)
+class SolvedCase:
+    """One solve_case result; wall_time_s covers assembly, solve and interior evaluation only."""
+
+    solution: BoundarySolution
+    report: FieldReport
+    interior: ErrorStats
+    flux: ErrorStats
+    wall_time_s: float
+
+
+def solve_case(problem: TestProblem, n: int, grid: InteriorGrid, rule: QuadratureRule) -> SolvedCase:
+    """Mesh the circle with n nodes, solve for the flux and evaluate the field on grid."""
+    mesh = discretize_circle(n)
+    start = time.perf_counter()
+    solution = solve_flux(assemble(mesh, problem, rule))
+    report = evaluate_field(solution, grid, problem, rule)
+    wall_time = time.perf_counter() - start
+    interior, flux = error_stats(report), flux_error_stats(solution, problem)
+    return SolvedCase(solution, report, interior, flux, wall_time)
+
+
+@dataclass(frozen=True)
 class ConvergenceRow:
     """One mesh size of a refinement study.
 
@@ -100,7 +124,7 @@ class ConvergenceRow:
 def convergence_study(
     problem: TestProblem, n_list, m: int, rule: QuadratureRule
 ) -> list[ConvergenceRow]:
-    """Solve the same problem over several boundary resolutions.
+    """Run ``solve_case`` for the same problem at each boundary resolution of n_list.
 
     The interior grid is held fixed at size m while n runs through n_list
     (reported in ascending order).  A ValueError, RuntimeError (SolveError
@@ -115,14 +139,11 @@ def convergence_study(
     for n in n_values:
         start = time.perf_counter()
         try:
-            system = assemble(discretize_circle(n), problem, rule)
-            solution = solve_flux(system)
-            report = evaluate_field(solution, grid, problem, rule)
-            stats = error_stats(report)
+            case = solve_case(problem, n, grid, rule)
         except (ValueError, RuntimeError, MemoryError) as exc:
             rows.append(ConvergenceRow(n, None, time.perf_counter() - start, str(exc)))
             continue
-        rows.append(ConvergenceRow(n, stats, time.perf_counter() - start))
+        rows.append(ConvergenceRow(n, case.interior, case.wall_time_s))
     return rows
 
 

@@ -36,9 +36,9 @@ import numpy as np
 from .geometry import BoundaryMesh
 from .kernels import _flux, _potential
 from .problems import TestProblem
-from .quadrature import QuadratureRule, basis_end, basis_start, singular_g_pair
+from .quadrature import QuadratureRule, singular_g_pair
 
-__all__ = ["BemSystem", "free_term", "assemble"]
+__all__ = ["BemSystem", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class BemSystem:
 
     @property
     def c(self) -> float:
-        """Free-term coefficient shared by every row: ``free_term(mesh.n)``."""
-        return free_term(self.mesh.n)
+        """Free-term coefficient of every row: (n-2)/(2n), the vertex's interior-angle fraction."""
+        return (self.mesh.n - 2) / (2.0 * self.mesh.n)
 
     @property
     def H(self) -> np.ndarray:
@@ -88,18 +88,6 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return dense
 
 
-def free_term(n: int) -> float:
-    """Free-term coefficient at a vertex of the regular n-gon: (n-2)/(2n).
-
-    This is the vertex interior angle pi*(n-2)/n divided by 2*pi, i.e. the
-    fraction of a neighborhood of the vertex that lies inside the polygon.
-    It tends to 1/2, the smooth-boundary value, as n grows.
-    """
-    if n < 3:
-        raise ValueError(f"free term needs a polygon with n >= 3 vertices, got {n}")
-    return (n - 2) / (2.0 * n)
-
-
 def _regular_rows(mesh: BoundaryMesh, sources: np.ndarray, rule: QuadratureRule):
     """Gauss contributions of every element to the row at each of ``sources``.
 
@@ -115,8 +103,9 @@ def _regular_rows(mesh: BoundaryMesh, sources: np.ndarray, rule: QuadratureRule)
     r2 = np.sum(diff * diff, axis=-1)
     flux = _flux(np.einsum("...tej,ej->...te", diff, mesh.normals), r2)
     potential = _potential(r2)
-    w_start = (rule.weights * basis_start(t))[:, np.newaxis]
-    w_end = (rule.weights * basis_end(t))[:, np.newaxis]
+    # the linear shape functions of the element's first and second node
+    w_start = (rule.weights * (0.5 * (1.0 - t)))[:, np.newaxis]
+    w_end = (rule.weights * (0.5 * (1.0 + t)))[:, np.newaxis]
     jacs = mesh.jacobians
     h_start = jacs * np.sum(flux * w_start, axis=-2)
     h_end = jacs * np.sum(flux * w_end, axis=-2)

@@ -1,10 +1,10 @@
 """Command-line runner: solve a benchmark problem and write CSV/JSON outputs.
 
-Exit codes: 0 on success, 1 when assembly/solve/evaluation fails, an interior
-point lies outside the boundary polygon or memory runs out (with a diagnostic
-on stderr), 2 for usage errors (nothing is written).  All files are written
-atomically (temp file then rename), with LF line endings and floats serialized
-via ``repr``, i.e. the shortest digit string that round-trips, so identical
+Exit codes: 0 on success, 1 when assembly/solve/evaluation fails, an interior point
+lies outside the boundary polygon, memory runs out or the output directory cannot be
+written (with a diagnostic on stderr), 2 for usage errors (nothing is written).  All
+files are written atomically (temp file then rename), with LF line endings and floats
+serialized via ``repr``, i.e. the shortest digit string that round-trips, so identical
 runs produce byte-identical outputs.
 """
 
@@ -15,17 +15,20 @@ import json
 import os
 import sys
 import tempfile
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import ConvergenceRow, convergence_study, empirical_orders, error_stats, flux_error_stats
-from .assembly import assemble
-from .geometry import discretize_circle, interior_grid
+from .analysis import ConvergenceRow, convergence_study, empirical_orders, solve_case
+from .geometry import interior_grid
 from .problems import PROBLEM_IDS, get_problem
 from .quadrature import MAX_ORDER, gauss_legendre
-from .solver import SolveError, evaluate_field, solve_flux
+from .solver import SolveError
+
+# looked up here by bench/child.py (tracing.OP_CALLS); the run itself calls them via solve_case
+from .analysis import error_stats, flux_error_stats  # noqa: F401
+from .assembly import assemble  # noqa: F401
+from .solver import evaluate_field, solve_flux  # noqa: F401
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -89,8 +92,8 @@ def parse_args(argv=None) -> RunConfig:
         parser.error("--interior-grid must be at least 2")
     if not 1 <= args.quad_order <= MAX_ORDER:
         parser.error(f"--quad-order must be in 1..{MAX_ORDER}")
-    if args.mode == "convergence" and args.n_list is None:
-        parser.error("--n-list is required in convergence mode")
+    if (args.mode == "convergence") != (args.n_list is not None):
+        parser.error("--n-list is required in convergence mode and refused in solve mode")
     if args.n_list is not None and any(n < 3 for n in args.n_list):
         parser.error("every entry of --n-list must be at least 3")
     return RunConfig(**vars(args))
@@ -105,6 +108,15 @@ def _fmt(value: float) -> str:
     """Shortest decimal string that round-trips the float; empty for an undefined (NaN) value."""
     text = repr(float(value))
     return "" if text == "nan" else text
+
+
+def _check_output_dir(path: str) -> None:
+    """Refuse a path whose nearest existing ancestor is not a directory; create nothing."""
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"cannot write to {path}: {ancestor} is not a directory")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -151,19 +163,11 @@ def _convergence_csv(rows: list[ConvergenceRow]) -> str:
 
 def run(config: RunConfig) -> dict:
     """Execute one CLI run and return the report dictionary that was written."""
+    _check_output_dir(config.output_dir)
     problem = get_problem(config.problem)
     rule = gauss_legendre(config.quad_order)
-    mesh = discretize_circle(config.boundary_nodes)
     grid = interior_grid(config.interior_grid)
-
-    start = time.perf_counter()
-    system = assemble(mesh, problem, rule)
-    solution = solve_flux(system)
-    report = evaluate_field(solution, grid, problem, rule)
-    wall_time = time.perf_counter() - start
-
-    interior_stats = error_stats(report)
-    flux_stats = flux_error_stats(solution, problem)
+    case = solve_case(problem, config.boundary_nodes, grid, rule)
 
     rows: list[ConvergenceRow] = []
     if config.mode == "convergence":
@@ -174,15 +178,15 @@ def run(config: RunConfig) -> dict:
     def out(name: str) -> str:
         return os.path.join(config.output_dir, name)
 
-    _write_atomic(out("boundary_flux.csv"), _boundary_flux_csv(solution, problem))
-    _write_atomic(out("interior.csv"), _interior_csv(report))
+    _write_atomic(out("boundary_flux.csv"), _boundary_flux_csv(case.solution, problem))
+    _write_atomic(out("interior.csv"), _interior_csv(case.report))
     report_dict = {
         "config": asdict(config),
-        "interior_stats": interior_stats.as_dict(),
-        "flux_stats": flux_stats.as_dict(),
-        "n_rel_excluded": interior_stats.n_rel_excluded,
-        "near_boundary_points": [int(k + 1) for k in np.flatnonzero(report.near_boundary)],
-        "wall_time_s": wall_time,
+        "interior_stats": case.interior.as_dict(),
+        "flux_stats": case.flux.as_dict(),
+        "n_rel_excluded": case.interior.n_rel_excluded,
+        "near_boundary_points": [int(k + 1) for k in np.flatnonzero(case.report.near_boundary)],
+        "wall_time_s": case.wall_time_s,
     }
     if rows:
         report_dict["convergence"] = [asdict(row) for row in rows]
@@ -192,13 +196,13 @@ def run(config: RunConfig) -> dict:
     print(
         f"problem {config.problem}: {config.boundary_nodes} boundary nodes, "
         f"{config.interior_grid}x{config.interior_grid} interior grid "
-        f"({interior_stats.n_points} points), quadrature order {config.quad_order}"
+        f"({case.interior.n_points} points), quadrature order {config.quad_order}"
     )
     print(
-        f"interior errors: max_abs={interior_stats.max_abs:.8e} "
-        f"max_rel={interior_stats.max_rel:.8e} "
-        f"mean_abs={interior_stats.mean_abs:.8e} "
-        f"mean_rel={interior_stats.mean_rel:.8e}"
+        f"interior errors: max_abs={case.interior.max_abs:.8e} "
+        f"max_rel={case.interior.max_rel:.8e} "
+        f"mean_abs={case.interior.mean_abs:.8e} "
+        f"mean_rel={case.interior.mean_rel:.8e}"
     )
     for row in rows:
         if row.stats is None:
@@ -208,7 +212,7 @@ def run(config: RunConfig) -> dict:
     orders = empirical_orders(rows)
     if orders:
         print("observed orders between rows: " + ", ".join(f"{o:.2f}" for o in orders))
-    print(f"wall time {wall_time:.3f} s")
+    print(f"wall time {case.wall_time_s:.3f} s")
     return report_dict
 
 
@@ -221,7 +225,7 @@ def main(argv=None) -> int:
         if exc.smallest_pivot is not None:
             print(f"smallest pivot: {exc.smallest_pivot:.6e}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -1,4 +1,4 @@
-"""Quadrature on the reference interval [-1, 1] and closed-form singular moments.
+"""Gauss-Legendre rules on [-1, 1] and the closed-form singular element integrals.
 
 Regular element integrals use Gauss-Legendre rules.  When the collocation
 point is an endpoint of the element being integrated, the potential kernel
@@ -29,9 +29,6 @@ __all__ = [
     "MAX_ORDER",
     "QuadratureRule",
     "gauss_legendre",
-    "basis_start",
-    "basis_end",
-    "singular_log_moments",
     "singular_g_pair",
 ]
 
@@ -77,26 +74,6 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(points, weights)
 
 
-def basis_start(t):
-    """Linear shape function that is 1 at t = -1 (the element's first node)."""
-    return 0.5 * (1.0 - np.asarray(t, dtype=float))
-
-
-def basis_end(t):
-    """Linear shape function that is 1 at t = +1 (the element's second node)."""
-    return 0.5 * (1.0 + np.asarray(t, dtype=float))
-
-
-def singular_log_moments(length: float) -> tuple[float, float]:
-    """Exact (int_0^L ln s ds, int_0^L s ln s ds) for L = ``length`` > 0."""
-    if length <= 0.0:
-        raise ValueError(f"element length must be positive, got {length}")
-    log_l = math.log(length)
-    moment0 = length * (log_l - 1.0)
-    moment1 = 0.5 * length * length * (log_l - 0.5)
-    return moment0, moment1
-
-
 def singular_g_pair(length: float) -> tuple[float, float]:
     """Exact potential-kernel element integrals when the source is an endpoint.
 
@@ -104,7 +81,11 @@ def singular_g_pair(length: float) -> tuple[float, float]:
     shape function peaking at the singular endpoint, and by the opposite one.
     Their sum is the unweighted element integral (L/(2*pi))*(1 - ln L).
     """
-    moment0, moment1 = singular_log_moments(length)
+    if length <= 0.0:
+        raise ValueError(f"element length must be positive, got {length}")
+    log_l = math.log(length)
+    moment0 = length * (log_l - 1.0)
+    moment1 = 0.5 * length * length * (log_l - 0.5)
     g_near = -(moment0 - moment1 / length) / _TWO_PI
     g_far = -(moment1 / length) / _TWO_PI
     return g_near, g_far

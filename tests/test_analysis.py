@@ -16,6 +16,7 @@ from diskbem import (
     error_stats,
     flux_error_stats,
     get_problem,
+    solve_case,
     solve_flux,
 )
 
@@ -134,6 +135,20 @@ def test_flux_stats_exclude_all_points_for_constant_data(mesh30, rule8):
     assert stats.max_rel == 0.0
     assert stats.mean_rel == 0.0
     assert stats.max_abs <= 1e-2
+
+
+# ----------------------------------------------------------------------
+# the solve pipeline
+# ----------------------------------------------------------------------
+
+
+def test_solve_case_matches_the_staged_calls(problem1, grid11, rule8, solution30, report30):
+    case = solve_case(problem1, 30, grid11, rule8)
+    assert np.array_equal(case.solution.q_nodes, solution30.q_nodes)
+    assert np.array_equal(case.report.u_bem, report30.u_bem)
+    assert case.interior == error_stats(report30)
+    assert case.flux == flux_error_stats(solution30, problem1)
+    assert case.wall_time_s > 0.0
 
 
 # ----------------------------------------------------------------------

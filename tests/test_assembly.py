@@ -9,7 +9,6 @@ from diskbem import (
     BoundaryMesh,
     assemble,
     discretize_circle,
-    free_term,
     gauss_legendre,
     get_problem,
     singular_g_pair,
@@ -25,21 +24,20 @@ TWO_PI = 2.0 * np.pi
 # ----------------------------------------------------------------------
 
 
+def _free_term(n):
+    zeros = np.zeros(n)
+    return BemSystem(BoundaryMesh(n), zeros, zeros, zeros).c
+
+
 def test_free_term_values():
-    assert free_term(7) == pytest.approx(5.0 / 14.0, rel=1e-15)
-    assert free_term(4) == 0.25
-    assert free_term(3) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert free_term(30) == pytest.approx(28.0 / 60.0, rel=1e-15)
+    assert _free_term(7) == pytest.approx(5.0 / 14.0, rel=1e-15)
+    assert _free_term(4) == 0.25
+    assert _free_term(3) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert _free_term(30) == pytest.approx(28.0 / 60.0, rel=1e-15)
 
 
 def test_free_term_approaches_one_half():
-    assert abs(free_term(10**6) - 0.5) < 1e-6
-
-
-@pytest.mark.parametrize("n", [2, 1, 0, -4])
-def test_free_term_rejects_degenerate_polygons(n):
-    with pytest.raises(ValueError, match="n >= 3"):
-        free_term(n)
+    assert abs(_free_term(10**6) - 0.5) < 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +148,7 @@ def test_assemble_shapes_and_metadata(system30, mesh30):
     assert system30.mesh.n == 30
     assert system30.H.shape == (30, 30)
     assert system30.G.shape == (30, 30)
-    assert system30.c == pytest.approx(free_term(30), rel=1e-15)
+    assert system30.c == pytest.approx(28.0 / 60.0, rel=1e-15)
     assert system30.mesh is mesh30
     assert np.allclose(
         system30.u_nodes, get_problem(1).u(mesh30.nodes), rtol=1e-15

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import diskbem.analysis
 import diskbem.cli as cli
 from diskbem import FieldReport, SolveError
 from diskbem.cli import main, parse_args, run
@@ -62,6 +63,7 @@ def test_explicit_arguments():
         ["--problem", "1", "--mode", "convergence"],       # missing --n-list
         ["--problem", "1", "--mode", "convergence", "--n-list", "15,2"],
         ["--problem", "1", "--n-list", "15,abc"],
+        ["--problem", "1", "--n-list", "30,60"],            # --n-list outside convergence mode
         ["--problem", "1", "--mode", "nonsense"],
     ],
 )
@@ -228,6 +230,21 @@ def test_convergence_mode_outputs(tmp_path, capsys):
     assert "observed orders between rows:" in captured
 
 
+def test_convergence_mode_runs_one_solve_case_per_solve(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    real = diskbem.analysis.solve_case
+    monkeypatch.setattr(diskbem.analysis, "solve_case", counted)
+    monkeypatch.setattr(cli, "solve_case", counted)
+    argv = ["--problem", "1", "--mode", "convergence", "--n-list", "15,30"]
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == [30, 15, 30]
+
+
 def test_a_failed_convergence_row_is_reported_and_left_out(tmp_path, capsys):
     # the triangle leaves lattice points outside it, so the n=3 row fails
     out = tmp_path / "out"
@@ -286,7 +303,7 @@ def test_solve_failure_exits_one_with_diagnostics(tmp_path, monkeypatch, capsys)
     def broken(system):
         raise SolveError("influence matrix is numerically singular", smallest_pivot=3e-17)
 
-    monkeypatch.setattr(cli, "solve_flux", broken)
+    monkeypatch.setattr(diskbem.analysis, "solve_flux", broken)
     out = tmp_path / "out"
     code = main(["--problem", "1", "--output-dir", str(out)])
     assert code == 1
@@ -300,7 +317,7 @@ def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("interior evaluation exploded")
 
-    monkeypatch.setattr(cli, "evaluate_field", broken)
+    monkeypatch.setattr(diskbem.analysis, "evaluate_field", broken)
     code = main(["--problem", "1", "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert "interior evaluation exploded" in capsys.readouterr().err
@@ -316,11 +333,40 @@ def test_points_outside_the_boundary_polygon_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unusable_output_dir_exits_one_before_any_compute(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("solve_case ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "solve_case", never)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code = main(["--problem", "1", "--output-dir", str(blocker / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not a directory" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == ""
+
+
+def test_a_failed_write_exits_one_with_a_one_line_error(tmp_path, monkeypatch, capsys):
+    def refused(path, text):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "_write_atomic", refused)
+    code = main(["--problem", "1", "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Permission denied" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_out_of_memory_exits_one_with_a_one_line_error(tmp_path, monkeypatch, capsys):
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.16 TiB for an array with shape (400000, 400000)")
 
-    monkeypatch.setattr(cli, "assemble", too_large)
+    monkeypatch.setattr(diskbem.analysis, "assemble", too_large)
     code = main(["--problem", "1", "--output-dir", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err

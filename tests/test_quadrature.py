@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules, shape functions, and exact singular moments."""
+"""Gauss-Legendre rules and exact singular element integrals."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,8 @@ import pytest
 from diskbem import (
     MAX_ORDER,
     QuadratureRule,
-    basis_end,
-    basis_start,
     gauss_legendre,
     singular_g_pair,
-    singular_log_moments,
 )
 from tests.oracles import brute_g_pair, brute_log_moments
 
@@ -75,25 +72,6 @@ def test_rule_arrays_are_frozen():
 
 
 # ----------------------------------------------------------------------
-# shape functions
-# ----------------------------------------------------------------------
-
-
-def test_basis_endpoint_values():
-    assert basis_start(-1.0) == 1.0
-    assert basis_start(1.0) == 0.0
-    assert basis_end(-1.0) == 0.0
-    assert basis_end(1.0) == 1.0
-    assert basis_start(0.0) == 0.5
-    assert basis_end(0.0) == 0.5
-
-
-def test_basis_partition_of_unity():
-    t = np.linspace(-1.0, 1.0, 101)
-    assert np.max(np.abs(basis_start(t) + basis_end(t) - 1.0)) <= 1e-15
-
-
-# ----------------------------------------------------------------------
 # applying a rule
 # ----------------------------------------------------------------------
 
@@ -101,7 +79,7 @@ def test_basis_partition_of_unity():
 def test_integrate_simple_functions():
     rule = gauss_legendre(8)
     assert rule.weights @ np.ones(8) == pytest.approx(2.0, rel=1e-14)
-    assert rule.weights @ basis_start(rule.points) == pytest.approx(1.0, rel=1e-14)
+    assert rule.weights @ (0.5 * (1.0 - rule.points)) == pytest.approx(1.0, rel=1e-14)
     assert rule.weights @ rule.points**2 == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
@@ -129,19 +107,23 @@ def test_quadrature_rule_rejects_malformed_nodes_and_weights(points, weights):
 # ----------------------------------------------------------------------
 
 
+def _moments_from_g_pair(length):
+    """(int_0^L ln s ds, int_0^L s ln s ds) recovered from singular_g_pair."""
+    g_near, g_far = singular_g_pair(length)
+    return -TWO_PI * (g_near + g_far), -TWO_PI * length * g_far
+
+
 def test_log_moments_frozen_values():
-    moment0, moment1 = singular_log_moments(1.0)
+    moment0, moment1 = _moments_from_g_pair(1.0)
     assert moment0 == pytest.approx(-1.0, rel=1e-15)
     assert moment1 == pytest.approx(-0.25, rel=1e-15)
     # int_0^e ln s ds = e*(1 - 1) = 0
-    moment0_e, _ = singular_log_moments(np.e)
+    moment0_e, _ = _moments_from_g_pair(np.e)
     assert moment0_e == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("length", [-1.0, 0.0])
 def test_log_moments_reject_nonpositive_length(length):
-    with pytest.raises(ValueError, match="positive"):
-        singular_log_moments(length)
     with pytest.raises(ValueError, match="positive"):
         singular_g_pair(length)
 
@@ -149,7 +131,7 @@ def test_log_moments_reject_nonpositive_length(length):
 @pytest.mark.parametrize("length", [0.01, 0.1, 2.0 * np.sin(np.pi / 30.0), 1.0, 2.0])
 def test_log_moments_match_graded_subdivision(length):
     brute0, brute1 = brute_log_moments(length)
-    moment0, moment1 = singular_log_moments(length)
+    moment0, moment1 = _moments_from_g_pair(length)
     assert moment0 == pytest.approx(brute0, abs=1e-12)
     assert moment1 == pytest.approx(brute1, abs=1e-12)
 
@@ -177,7 +159,9 @@ def test_g_pair_sum_is_the_unweighted_element_integral(length):
 
 @pytest.mark.parametrize("length", [0.05, 0.5, 1.9])
 def test_g_pair_is_consistent_with_the_moments(length):
-    moment0, moment1 = singular_log_moments(length)
+    # the antiderivatives of ln(s) and s*ln(s), written independently of the library
+    moment0 = length * (np.log(length) - 1.0)
+    moment1 = 0.5 * length**2 * (np.log(length) - 0.5)
     g_near, g_far = singular_g_pair(length)
     assert g_near == pytest.approx(-(moment0 - moment1 / length) / TWO_PI, rel=1e-14)
     assert g_far == pytest.approx(-(moment1 / length) / TWO_PI, rel=1e-14)
