@@ -8,12 +8,12 @@ Measuring the convergence rate under mesh refinement
 # data.  convergence_study solves the same problem across several boundary
 # resolutions and reports the interior error statistics for each.
 
-from diskbem import convergence_study, empirical_orders, gauss_legendre, get_problem
+from diskbem import convergence_study, empirical_orders, gauss_legendre, get_problem, interior_grid
 
 problem = get_problem(1)
 rule = gauss_legendre(8)
 
-rows = convergence_study(problem, n_list=[15, 30, 60, 120], m=11, rule=rule)
+rows = convergence_study(problem, n_list=[15, 30, 60, 120], grid=interior_grid(11), rule=rule)
 
 print("   n    max_abs       mean_abs      wall time")
 for row in rows:

@@ -12,80 +12,29 @@ Typical use, the whole pipeline at the reference resolution::
 
     case = solve_case(get_problem(1), 30, interior_grid(11), gauss_legendre(8))
     print(case.interior, case.flux, case.wall_time_s)
+
+Each library module's ``__all__`` is where its exports are declared; the
+package re-exports them all, and its ``__all__`` is their concatenation.
 """
 
-from .analysis import (
-    ConvergenceRow,
-    ErrorStats,
-    SolvedCase,
-    convergence_study,
-    empirical_orders,
-    error_stats,
-    flux_error_stats,
-    solve_case,
-)
-from .assembly import BemSystem, assemble
-from .geometry import BoundaryMesh, InteriorGrid, discretize_circle, interior_grid
-from .kernels import (
-    SingularKernelError,
-    fundamental_flux,
-    fundamental_solution,
-    normal_flux,
-)
-from .problems import PROBLEM_IDS, TestProblem, constant_problem, get_problem
-from .quadrature import (
-    MAX_ORDER,
-    QuadratureRule,
-    gauss_legendre,
-    singular_g_pair,
-)
-from .solver import (
-    PIVOT_THRESHOLD,
-    REL_EXCLUSION_THRESHOLD,
-    BoundarySolution,
-    FieldReport,
-    SolveError,
-    evaluate_field,
-    evaluate_interior,
-    solve_flux,
-)
+from . import analysis, assembly, geometry, kernels, problems, quadrature, solver
+from .analysis import *  # noqa: F401,F403
+from .assembly import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BemSystem",
-    "BoundaryMesh",
-    "BoundarySolution",
-    "ConvergenceRow",
-    "ErrorStats",
-    "FieldReport",
-    "InteriorGrid",
-    "MAX_ORDER",
-    "PIVOT_THRESHOLD",
-    "PROBLEM_IDS",
-    "QuadratureRule",
-    "REL_EXCLUSION_THRESHOLD",
-    "SingularKernelError",
-    "SolveError",
-    "SolvedCase",
-    "TestProblem",
-    "assemble",
-    "constant_problem",
-    "convergence_study",
-    "discretize_circle",
-    "empirical_orders",
-    "error_stats",
-    "evaluate_field",
-    "evaluate_interior",
-    "flux_error_stats",
-    "fundamental_flux",
-    "fundamental_solution",
-    "gauss_legendre",
-    "get_problem",
-    "interior_grid",
-    "normal_flux",
-    "singular_g_pair",
-    "solve_case",
-    "solve_flux",
+    *geometry.__all__,
+    *kernels.__all__,
+    *quadrature.__all__,
+    *problems.__all__,
+    *assembly.__all__,
+    *solver.__all__,
+    *analysis.__all__,
     "__version__",
 ]

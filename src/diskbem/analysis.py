@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .assembly import assemble
-from .geometry import InteriorGrid, discretize_circle, interior_grid
+from .geometry import InteriorGrid, discretize_circle
 from .problems import TestProblem
 from .quadrature import QuadratureRule
 from .solver import (
@@ -122,19 +122,20 @@ class ConvergenceRow:
 
 
 def convergence_study(
-    problem: TestProblem, n_list, m: int, rule: QuadratureRule
+    problem: TestProblem, n_list, grid: InteriorGrid, rule: QuadratureRule
 ) -> list[ConvergenceRow]:
     """Run ``solve_case`` for the same problem at each boundary resolution of n_list.
 
-    The interior grid is held fixed at size m while n runs through n_list
-    (reported in ascending order).  A ValueError, RuntimeError (SolveError
-    included) or MemoryError at one resolution is recorded in its row and does
-    not abort the others; any other exception, such as a bug, propagates.
+    The interior grid is held fixed while n runs through n_list, whose entries
+    must be distinct (rows in ascending order).  A ValueError, RuntimeError
+    (SolveError included) or MemoryError at one resolution is recorded in its
+    row and does not abort the others; any other exception, such as a bug, propagates.
     """
     n_values = sorted(int(n) for n in n_list)
     if not n_values:
         raise ValueError("convergence study needs at least one boundary resolution")
-    grid = interior_grid(m)
+    if len(set(n_values)) != len(n_values):
+        raise ValueError(f"convergence study needs distinct boundary resolutions, got {n_values}")
     rows: list[ConvergenceRow] = []
     for n in n_values:
         start = time.perf_counter()

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,29 +30,17 @@ from .analysis import error_stats, flux_error_stats  # noqa: F401
 from .assembly import assemble  # noqa: F401
 from .solver import evaluate_field, solve_flux  # noqa: F401
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    problem: int
-    boundary_nodes: int
-    interior_grid: int
-    quad_order: int
-    mode: str
-    n_list: tuple[int, ...] | None
-    output_dir: str
+__all__ = ["parse_args", "run", "main"]
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return values
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="diskbem",
         description="Boundary element solution of Dirichlet Laplace problems on the unit disk.",
@@ -67,7 +55,7 @@ def parse_args(argv=None) -> RunConfig:
     )
     parser.add_argument(
         "--interior-grid", type=int, default=11, metavar="M",
-        help="interior evaluation lattice size M (default 11)",
+        help="interior evaluation lattice size M, at least 3 (default 11)",
     )
     parser.add_argument(
         "--quad-order", type=int, default=8, metavar="K",
@@ -79,7 +67,7 @@ def parse_args(argv=None) -> RunConfig:
     )
     parser.add_argument(
         "--n-list", type=_parse_n_list, default=None, metavar="N1,N2,...",
-        help="boundary resolutions for convergence mode",
+        help="distinct boundary resolutions for convergence mode",
     )
     parser.add_argument(
         "--output-dir", default="./out", metavar="DIR",
@@ -88,15 +76,17 @@ def parse_args(argv=None) -> RunConfig:
     args = parser.parse_args(argv)
     if args.boundary_nodes < 3:
         parser.error("--boundary-nodes must be at least 3")
-    if args.interior_grid < 2:
-        parser.error("--interior-grid must be at least 2")
+    if args.interior_grid < 3:
+        parser.error("--interior-grid must be at least 3")
     if not 1 <= args.quad_order <= MAX_ORDER:
         parser.error(f"--quad-order must be in 1..{MAX_ORDER}")
     if (args.mode == "convergence") != (args.n_list is not None):
         parser.error("--n-list is required in convergence mode and refused in solve mode")
     if args.n_list is not None and any(n < 3 for n in args.n_list):
         parser.error("every entry of --n-list must be at least 3")
-    return RunConfig(**vars(args))
+    if args.n_list is not None and len(set(args.n_list)) != len(args.n_list):
+        parser.error("the entries of --n-list must be distinct")
+    return args
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +151,7 @@ def _convergence_csv(rows: list[ConvergenceRow]) -> str:
 # ----------------------------------------------------------------------
 
 
-def run(config: RunConfig) -> dict:
+def run(config: argparse.Namespace) -> dict:
     """Execute one CLI run and return the report dictionary that was written."""
     _check_output_dir(config.output_dir)
     problem = get_problem(config.problem)
@@ -171,7 +161,12 @@ def run(config: RunConfig) -> dict:
 
     rows: list[ConvergenceRow] = []
     if config.mode == "convergence":
-        rows = convergence_study(problem, config.n_list, config.interior_grid, rule)
+        # this run's own solve is the study's row for n = --boundary-nodes, if listed
+        others = [n for n in config.n_list if n != config.boundary_nodes]
+        rows = convergence_study(problem, others, grid, rule) if others else []
+        if len(others) < len(config.n_list):
+            rows.append(ConvergenceRow(config.boundary_nodes, case.interior, case.wall_time_s))
+            rows.sort(key=lambda row: row.n)
 
     os.makedirs(config.output_dir, exist_ok=True)
 
@@ -181,9 +176,9 @@ def run(config: RunConfig) -> dict:
     _write_atomic(out("boundary_flux.csv"), _boundary_flux_csv(case.solution, problem))
     _write_atomic(out("interior.csv"), _interior_csv(case.report))
     report_dict = {
-        "config": asdict(config),
-        "interior_stats": case.interior.as_dict(),
-        "flux_stats": case.flux.as_dict(),
+        "config": vars(config),
+        "interior_stats": asdict(case.interior),
+        "flux_stats": asdict(case.flux),
         "n_rel_excluded": case.interior.n_rel_excluded,
         "near_boundary_points": [int(k + 1) for k in np.flatnonzero(case.report.near_boundary)],
         "wall_time_s": case.wall_time_s,

@@ -156,8 +156,8 @@ def test_solve_case_matches_the_staged_calls(problem1, grid11, rule8, solution30
 # ----------------------------------------------------------------------
 
 
-def test_convergence_rows_are_sorted_and_improving(problem1, rule8):
-    rows = convergence_study(problem1, [60, 15, 30], m=11, rule=rule8)
+def test_convergence_rows_are_sorted_and_improving(problem1, grid11, rule8):
+    rows = convergence_study(problem1, [60, 15, 30], grid11, rule8)
     assert [row.n for row in rows] == [15, 30, 60]
     for row in rows:
         assert row.error is None
@@ -167,36 +167,41 @@ def test_convergence_rows_are_sorted_and_improving(problem1, rule8):
     assert maxima[0] > maxima[1] > maxima[2]
 
 
-def test_convergence_row_matches_a_direct_solve(problem1, rule8, report30):
-    rows = convergence_study(problem1, [30], m=11, rule=rule8)
+def test_convergence_row_matches_a_direct_solve(problem1, grid11, rule8, report30):
+    rows = convergence_study(problem1, [30], grid11, rule8)
     direct = error_stats(report30)
     assert rows[0].stats == direct
 
 
-def test_convergence_study_requires_resolutions(problem1, rule8):
+def test_convergence_study_requires_resolutions(problem1, grid11, rule8):
     with pytest.raises(ValueError, match="at least one"):
-        convergence_study(problem1, [], m=11, rule=rule8)
+        convergence_study(problem1, [], grid11, rule8)
 
 
-def test_convergence_study_records_failures(problem1, rule8):
-    rows = convergence_study(problem1, [2, 15], m=11, rule=rule8)
+def test_convergence_study_refuses_repeated_resolutions(problem1, grid11, rule8):
+    with pytest.raises(ValueError, match="distinct"):
+        convergence_study(problem1, [30, 30, 15], grid11, rule8)
+
+
+def test_convergence_study_records_failures(problem1, grid11, rule8):
+    rows = convergence_study(problem1, [2, 15], grid11, rule8)
     assert rows[0].n == 2
     assert rows[0].stats is None
     assert rows[0].error  # discretize_circle rejects n = 2
     assert rows[1].stats is not None
 
 
-def test_convergence_study_lets_programming_errors_propagate(monkeypatch, problem1, rule8):
+def test_convergence_study_lets_programming_errors_propagate(monkeypatch, problem1, grid11, rule8):
     def broken(*args, **kwargs):
         raise TypeError("a bug, not a failed resolution")
 
     monkeypatch.setattr(diskbem.analysis, "solve_flux", broken)
     with pytest.raises(TypeError, match="a bug"):
-        convergence_study(problem1, [15, 30], m=11, rule=rule8)
+        convergence_study(problem1, [15, 30], grid11, rule8)
 
 
-def test_empirical_orders_near_two(problem1, rule8):
-    rows = convergence_study(problem1, [15, 30, 60], m=11, rule=rule8)
+def test_empirical_orders_near_two(problem1, grid11, rule8):
+    rows = convergence_study(problem1, [15, 30, 60], grid11, rule8)
     orders = empirical_orders(rows)
     assert len(orders) == 2
     for order in orders:

@@ -58,10 +58,12 @@ def test_explicit_arguments():
         ["--problem", "9"],                         # unknown id
         ["--problem", "1", "--boundary-nodes", "2"],
         ["--problem", "1", "--interior-grid", "1"],
+        ["--problem", "1", "--interior-grid", "2"],        # no lattice point inside the circle
         ["--problem", "1", "--quad-order", "0"],
         ["--problem", "1", "--quad-order", "65"],
         ["--problem", "1", "--mode", "convergence"],       # missing --n-list
         ["--problem", "1", "--mode", "convergence", "--n-list", "15,2"],
+        ["--problem", "1", "--mode", "convergence", "--n-list", "30,30,15"],  # repeated entry
         ["--problem", "1", "--n-list", "15,abc"],
         ["--problem", "1", "--n-list", "30,60"],            # --n-list outside convergence mode
         ["--problem", "1", "--mode", "nonsense"],
@@ -74,10 +76,15 @@ def test_usage_errors_exit_with_code_two(argv):
 
 
 def test_usage_errors_write_no_files(tmp_path):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit):
-        main(["--problem", "1", "--boundary-nodes", "2", "--output-dir", str(out)])
-    assert not out.exists()
+    for i, argv in enumerate([
+        ["--problem", "1", "--boundary-nodes", "2"],
+        ["--problem", "1", "--interior-grid", "2"],
+        ["--problem", "1", "--mode", "convergence", "--n-list", "30,30,15"],
+    ]):
+        out = tmp_path / f"out{i}"
+        with pytest.raises(SystemExit):
+            main([*argv, "--output-dir", str(out)])
+        assert not out.exists(), argv
 
 
 # ----------------------------------------------------------------------
@@ -231,18 +238,36 @@ def test_convergence_mode_outputs(tmp_path, capsys):
 
 
 def test_convergence_mode_runs_one_solve_case_per_solve(tmp_path, monkeypatch):
-    calls = []
+    calls, grids = [], []
 
     def counted(*args):
         calls.append(args[1])
         return real(*args)
 
-    real = diskbem.analysis.solve_case
+    def counted_grid(m):
+        grids.append(m)
+        return real_grid(m)
+
+    real, real_grid = diskbem.analysis.solve_case, cli.interior_grid
     monkeypatch.setattr(diskbem.analysis, "solve_case", counted)
     monkeypatch.setattr(cli, "solve_case", counted)
-    argv = ["--problem", "1", "--mode", "convergence", "--n-list", "15,30"]
-    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
-    assert calls == [30, 15, 30]
+    monkeypatch.setattr(diskbem.analysis, "interior_grid", counted_grid, raising=False)
+    monkeypatch.setattr(cli, "interior_grid", counted_grid)
+    for i, (n_list, expected) in enumerate([
+        ("15,30", [30, 15]),      # the run's own n = 30 is reused as the study's row
+        ("15,60", [30, 15, 60]),  # n = 30 is not in the study
+        ("30", [30]),             # the study is the run's own solve alone
+    ]):
+        calls.clear()
+        grids.clear()
+        out = tmp_path / f"out{i}"
+        argv = ["--problem", "1", "--mode", "convergence", "--n-list", n_list]
+        assert main([*argv, "--output-dir", str(out)]) == 0
+        assert calls == expected, n_list
+        assert grids == [11], n_list
+        lines = (out / "convergence.csv").read_text().splitlines()
+        rows = [int(line.split(",")[0]) for line in lines[1:]]
+        assert rows == sorted(int(n) for n in n_list.split(","))
 
 
 def test_a_failed_convergence_row_is_reported_and_left_out(tmp_path, capsys):

@@ -18,3 +18,9 @@ def test_every_exported_name_resolves():
 def test_module_exports_are_package_exports(module):
     exported = set(importlib.import_module(f"diskbem.{module}").__all__)
     assert exported <= set(diskbem.__all__), sorted(exported - set(diskbem.__all__))
+
+
+def test_package_exports_are_the_module_exports_once_each():
+    modules = [importlib.import_module(f"diskbem.{module}") for module in LIBRARY_MODULES]
+    assert len(set(diskbem.__all__)) == len(diskbem.__all__)
+    assert diskbem.__all__ == [name for module in modules for name in module.__all__] + ["__version__"]
