@@ -88,29 +88,36 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _regular_rows(mesh: BoundaryMesh, sources: np.ndarray, rule: QuadratureRule):
-    """Gauss contributions of every element to the row at each of ``sources``.
+def _gauss_kernels(mesh: BoundaryMesh, rule: QuadratureRule, x, y):
+    """Flux and potential kernels from sources (x, y) to every Gauss point.
 
-    ``sources`` has shape (..., 2): one source point, or a block of them.
-    Returns (h_start, h_end, g_start, g_end), each of shape (..., n): the flux
+    x and y broadcast against the (K, n) points midpoints[e] + t * halves[e]:
+    scalars for one source, (B, 1, 1) arrays for B; flux is along e's normal.
+    """
+    t = rule.points[:, np.newaxis]
+    dx = mesh.midpoints[:, 0] + t * mesh.halves[:, 0] - x
+    dy = mesh.midpoints[:, 1] + t * mesh.halves[:, 1] - y
+    r2 = dx * dx + dy * dy
+    return _flux(dx * mesh.normals[:, 0] + dy * mesh.normals[:, 1], r2), _potential(r2)
+
+
+def _regular_rows(mesh: BoundaryMesh, source, rule: QuadratureRule):
+    """Gauss contributions of every element to the row at one source point.
+
+    Returns (h_start, h_end, g_start, g_end), each of shape (n,): the flux
     and potential integrals weighted by the shape functions of the element's
-    first and second node.  Elements that contain a source as an endpoint come
+    first and second node.  Elements that contain the source as an endpoint come
     out finite but meaningless here; ``assemble`` overwrites them for node 0.
     """
+    flux, potential = _gauss_kernels(mesh, rule, source[0], source[1])
     t = rule.points
-    field = mesh.midpoints + t[:, np.newaxis, np.newaxis] * mesh.halves
-    diff = field - np.asarray(sources)[..., np.newaxis, np.newaxis, :]
-    r2 = np.sum(diff * diff, axis=-1)
-    flux = _flux(np.einsum("...tej,ej->...te", diff, mesh.normals), r2)
-    potential = _potential(r2)
     # the linear shape functions of the element's first and second node
     w_start = (rule.weights * (0.5 * (1.0 - t)))[:, np.newaxis]
     w_end = (rule.weights * (0.5 * (1.0 + t)))[:, np.newaxis]
-    jacs = mesh.jacobians
-    h_start = jacs * np.sum(flux * w_start, axis=-2)
-    h_end = jacs * np.sum(flux * w_end, axis=-2)
-    g_start = jacs * np.sum(potential * w_start, axis=-2)
-    g_end = jacs * np.sum(potential * w_end, axis=-2)
+    h_start = mesh.jacobians * np.sum(flux * w_start, axis=0)
+    h_end = mesh.jacobians * np.sum(flux * w_end, axis=0)
+    g_start = mesh.jacobians * np.sum(potential * w_start, axis=0)
+    g_end = mesh.jacobians * np.sum(potential * w_end, axis=0)
     return h_start, h_end, g_start, g_end
 
 

@@ -1,18 +1,15 @@
 """Circulant solution of the assembled system and interior field evaluation.
 
-With Dirichlet data u prescribed, the collocation system G q = c u + H u is
-solved for the nodal fluxes q.  G and H are circulant, so the discrete Fourier
-transform diagonalizes both (P. J. Davis, *Circulant Matrices*, 1979): every
-product and the solve itself are elementwise in Fourier space, O(n log n) time
-and O(n) memory.  The interior representation then reads
+The FFT diagonalizes the circulants G and H (P. J. Davis, *Circulant
+Matrices*, 1979) to solve G q = c u + H u for the nodal fluxes q, with
+Gauss's law in place of G's constant mode.  Inside the polygon,
 
-    u(p) = sum_j G_p[j] q_j - sum_j H_p[j] u_j,
+    u(p) = sum_i [charge_i w(p, x_i) - dipole_i dw/dn(p, x_i)],
 
-where G_p, H_p are the element integrals of the assembly rows taken at p
-(whose free term is exactly 1, already folded in), computed for a block of
-points at a time.  p must lie strictly inside the inscribed polygon, so no
-integral is singular, but accuracy degrades near the boundary: points closer
-than half an element length are flagged.
+the single- minus the double-layer potential summed over all Gauss points
+x_i, where charge and dipole are q and u interpolated and weighted.  p must
+lie strictly inside the polygon, so no integral is singular; points within
+half an element length of the boundary are flagged.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BemSystem, _regular_rows
+from .assembly import BemSystem, _gauss_kernels
 from .geometry import BoundaryMesh, InteriorGrid
 from .problems import TestProblem
 from .quadrature import QuadratureRule
@@ -52,7 +49,7 @@ _BLOCK_TRIPLES = 2**14
 
 
 class SolveError(RuntimeError):
-    """Flux solve failed; ``smallest_pivot`` carries the smallest |eigenvalue| of G."""
+    """Flux solve failed; ``smallest_pivot``: G's smallest |eigenvalue| over the non-constant modes."""
 
     def __init__(self, message: str, smallest_pivot: float | None = None):
         super().__init__(message)
@@ -119,22 +116,27 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
     """Solve G q = (c + H) u for the nodal fluxes by diagonalizing G.
 
     The circulant whose row k is ``np.roll(row, k)`` has the eigenvalues
-    ``conj(rfft(row))`` (plus their conjugates) on the Fourier modes.
+    ``conj(rfft(row))`` (plus their conjugates) on the Fourier modes.  G's
+    constant mode is not inverted: q's mean is zero, which is the bordered
+    system [G 1; L^T 0] whose multiplier is the mean of the right-hand side.
     """
     h_spectrum = np.conj(np.fft.rfft(system.h_row))
     g_spectrum = np.conj(np.fft.rfft(system.g_row))
     rhs = system.c * system.u_nodes + _circulant_product(h_spectrum, system.u_nodes)
-    smallest = float(np.min(np.abs(g_spectrum)))
+    mean = float(np.mean(rhs))
+    bound = _RESIDUAL_FACTOR * float(np.max(np.abs(rhs)))
+    # data with a mean need the constant mode too, so its eigenvalue joins the pivots
+    modes = slice(0 if abs(mean) > bound else 1, None)
+    smallest = float(np.min(np.abs(g_spectrum[modes])))
     # both checks are written so that NaN data fails them too
     if not smallest >= PIVOT_THRESHOLD:
         raise SolveError(
             f"influence matrix is numerically singular: smallest |eigenvalue| {smallest:.3e}",
             smallest_pivot=smallest,
         )
-    # the inverse of a circulant is the circulant with reciprocal eigenvalues
-    q = _circulant_product(1.0 / g_spectrum, rhs)
-    residual = float(np.max(np.abs(_circulant_product(g_spectrum, q) - rhs)))
-    bound = _RESIDUAL_FACTOR * float(np.max(np.abs(rhs)))
+    # reciprocal eigenvalues invert the circulant; q's constant mode is zero
+    q = _circulant_product(np.append(0.0, 1.0 / g_spectrum[1:]), rhs)
+    residual = float(np.max(np.abs(_circulant_product(g_spectrum, q) + mean - rhs)))
     if not residual <= bound:
         raise SolveError(
             f"solve residual {residual:.3e} exceeds {bound:.3e}",
@@ -144,9 +146,12 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
 
 
 def _represent(solution: BoundarySolution, points: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """u at each row of the (P, 2) ``points``, one ``_regular_rows`` call per block."""
+    """u at each row of the (P, 2) ``points``, one ``_gauss_kernels`` call per block."""
     mesh, u, q = solution.mesh, solution.u_nodes, solution.q_nodes
-    u_next, q_next = np.roll(u, -1), np.roll(q, -1)
+    t = rule.points[:, np.newaxis]
+    scale = rule.weights[:, np.newaxis] * mesh.jacobians
+    charge = scale * (0.5 * (1.0 - t) * q + 0.5 * (1.0 + t) * np.roll(q, -1))
+    dipole = scale * (0.5 * (1.0 - t) * u + 0.5 * (1.0 + t) * np.roll(u, -1))
     apothems = np.sum(mesh.midpoints * mesh.normals, axis=1)
     block = max(1, _BLOCK_TRIPLES // (mesh.n * rule.order))
     values = np.empty(len(points))
@@ -157,11 +162,11 @@ def _represent(solution: BoundarySolution, points: np.ndarray, rule: QuadratureR
         if not np.all(inside):
             point = sources[np.argmin(inside)].tolist()
             raise ValueError(f"point {point} is not strictly inside the boundary polygon")
-        h_start, h_end, g_start, g_end = _regular_rows(mesh, sources, rule)
-        # each sum runs over one point's row, so no value depends on its block
-        single_layer = np.sum(g_start * q + g_end * q_next, axis=-1)
-        double_layer = np.sum(h_start * u + h_end * u_next, axis=-1)
-        values[start : start + block] = single_layer - double_layer
+        x, y = sources.T[:, :, np.newaxis, np.newaxis]
+        flux, potential = _gauss_kernels(mesh, rule, x, y)
+        layers = (charge * potential - dipole * flux).reshape(len(sources), -1)
+        # each sum runs over one point's Gauss points, so no value depends on its block
+        values[start : start + block] = np.sum(layers, axis=-1)
     return values
 
 

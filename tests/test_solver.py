@@ -19,7 +19,7 @@ from diskbem import (
     interior_grid,
     solve_flux,
 )
-from diskbem.assembly import _regular_rows
+from diskbem.assembly import _gauss_kernels, _regular_rows
 from diskbem.solver import REL_EXCLUSION_THRESHOLD
 
 
@@ -73,11 +73,27 @@ def test_non_finite_data_is_refused(system30):
 
 @pytest.mark.parametrize("pid, n", [(1, 30), (2, 30), (3, 30), (4, 30), (5, 30), (1, 480)])
 def test_fft_solve_matches_a_dense_solve(pid, n, rule8):
+    # the dense bordered system [G 1; L^T 0]: G q + mu = (c + H) u with
+    # Gauss's law sum_j q_j L = 0 in place of G's constant mode
     system = assemble(discretize_circle(n), get_problem(pid), rule8)
     u = system.u_nodes
-    dense = np.linalg.solve(system.G, system.c * u + system.H @ u)
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = system.G
+    bordered[:n, n] = 1.0
+    bordered[n, :n] = 2.0 * system.mesh.jacobians
+    rhs = np.append(system.c * u + system.H @ u, 0.0)
+    dense = np.linalg.solve(bordered, rhs)[:n]
     q = solve_flux(system).q_nodes
     assert np.max(np.abs(q - dense)) <= 1e-10 * np.max(np.abs(q))
+
+
+def test_flux_stays_accurate_where_g_constant_mode_vanishes(problem1, rule8):
+    # G's constant-mode eigenvalue is about pi^2/(6 n^2), 1.8e-9 at n = 30000;
+    # dividing by it put a 1.1e-5 relative error into the flux
+    mesh = discretize_circle(30000)
+    q = solve_flux(assemble(mesh, problem1, rule8)).q_nodes
+    exact = problem1.q(mesh.nodes)
+    assert np.max(np.abs(q - exact)) <= 1e-7 * np.max(np.abs(exact))
 
 
 def test_constant_data_gives_zero_flux(mesh30, rule8):
@@ -160,14 +176,30 @@ def test_evaluate_field_runs_in_blocks(monkeypatch, problem1, rule8):
     grid = interior_grid(41)
     blocks = []
 
-    def counting(mesh, sources, rule):
-        blocks.append(len(sources))
-        return _regular_rows(mesh, sources, rule)
+    def counting(mesh, rule, x, y):
+        blocks.append(len(x))
+        return _gauss_kernels(mesh, rule, x, y)
 
-    monkeypatch.setattr(diskbem.solver, "_regular_rows", counting)
+    monkeypatch.setattr(diskbem.solver, "_gauss_kernels", counting)
     evaluate_field(solution, grid, problem1, rule8)
     assert sum(blocks) == len(grid) == 1245
     assert len(blocks) < len(grid) // 10
+
+
+@pytest.mark.parametrize("n, m", [(30, 11), (60, 41)])
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
+def test_layer_potentials_equal_the_row_form(pid, n, m, rule8):
+    # the representation with the element rows of each point, as assembly
+    # integrates them: sum(g_start q + g_end q_next) - sum(h_start u + h_end u_next)
+    problem, mesh = get_problem(pid), discretize_circle(n)
+    solution = solve_flux(assemble(mesh, problem, rule8))
+    u, q = solution.u_nodes, solution.q_nodes
+    report = evaluate_field(solution, interior_grid(m), problem, rule8)
+    for point, value in zip(report.points, report.u_bem):
+        h_start, h_end, g_start, g_end = _regular_rows(mesh, point, rule8)
+        single = np.sum(g_start * q + g_end * np.roll(q, -1))
+        double = np.sum(h_start * u + h_end * np.roll(u, -1))
+        assert abs(value - (single - double)) <= 1e-14 * np.max(np.abs(u))
 
 
 def test_a_point_gets_the_same_value_in_any_block(problem1, rule8):
