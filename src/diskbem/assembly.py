@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryMesh
-from .kernels import _flux, _potential
+from .kernels import _FLUX_SCALE, _POTENTIAL_SCALE
 from .problems import TestProblem
 from .quadrature import QuadratureRule, singular_g_pair
 
@@ -88,17 +88,31 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _gauss_kernels(mesh: BoundaryMesh, rule: QuadratureRule, x, y):
-    """Flux and potential kernels from sources (x, y) to every Gauss point.
+def _gauss_points(mesh: BoundaryMesh, rule: QuadratureRule) -> np.ndarray:
+    """Rows x, y, nu_x, nu_y of the Gauss points midpoints[e] + t_k * halves[e], (k, e) flat."""
+    points = mesh.midpoints + rule.points[:, np.newaxis, np.newaxis] * mesh.halves
+    return np.vstack([points.reshape(-1, 2).T, np.tile(mesh.normals, (rule.order, 1)).T])
 
-    x and y broadcast against the (K, n) points midpoints[e] + t * halves[e]:
-    scalars for one source, (B, 1, 1) arrays for B; flux is along e's normal.
+
+def _gauss_kernels(gauss: np.ndarray, x, y):
+    """Unscaled flux (d . nu)/r^2 and potential ln(r^2) from sources (x, y) to ``gauss``.
+
+    ``gauss`` comes from ``_gauss_points``; d runs from the source to the
+    Gauss point, nu is its element's normal.  x and y are scalars for one
+    source or (B, 1) arrays for B sources, giving (K*n,) or (B, K*n) kernels.
+    Callers fold the constants of :mod:`diskbem.kernels` into their (K, n)
+    weights.  The arithmetic runs in place: dx, dy, r2 and one transient.
     """
-    t = rule.points[:, np.newaxis]
-    dx = mesh.midpoints[:, 0] + t * mesh.halves[:, 0] - x
-    dy = mesh.midpoints[:, 1] + t * mesh.halves[:, 1] - y
-    r2 = dx * dx + dy * dy
-    return _flux(dx * mesh.normals[:, 0] + dy * mesh.normals[:, 1], r2), _potential(r2)
+    gx, gy, nx, ny = gauss
+    dx = gx - x
+    dy = gy - y
+    r2 = dx * dx
+    r2 += dy * dy
+    dx *= nx
+    dy *= ny
+    dx += dy
+    dx /= r2
+    return dx, np.log(r2, out=r2)
 
 
 def _regular_rows(mesh: BoundaryMesh, source, rule: QuadratureRule):
@@ -109,15 +123,16 @@ def _regular_rows(mesh: BoundaryMesh, source, rule: QuadratureRule):
     first and second node.  Elements that contain the source as an endpoint come
     out finite but meaningless here; ``assemble`` overwrites them for node 0.
     """
-    flux, potential = _gauss_kernels(mesh, rule, source[0], source[1])
+    kernels = _gauss_kernels(_gauss_points(mesh, rule), source[0], source[1])
+    flux, potential = (kernel.reshape(rule.order, mesh.n) for kernel in kernels)
     t = rule.points
     # the linear shape functions of the element's first and second node
     w_start = (rule.weights * (0.5 * (1.0 - t)))[:, np.newaxis]
     w_end = (rule.weights * (0.5 * (1.0 + t)))[:, np.newaxis]
-    h_start = mesh.jacobians * np.sum(flux * w_start, axis=0)
-    h_end = mesh.jacobians * np.sum(flux * w_end, axis=0)
-    g_start = mesh.jacobians * np.sum(potential * w_start, axis=0)
-    g_end = mesh.jacobians * np.sum(potential * w_end, axis=0)
+    h_start = mesh.jacobians * np.sum(flux * (_FLUX_SCALE * w_start), axis=0)
+    h_end = mesh.jacobians * np.sum(flux * (_FLUX_SCALE * w_end), axis=0)
+    g_start = mesh.jacobians * np.sum(potential * (_POTENTIAL_SCALE * w_start), axis=0)
+    g_end = mesh.jacobians * np.sum(potential * (_POTENTIAL_SCALE * w_end), axis=0)
     return h_start, h_end, g_start, g_end
 
 

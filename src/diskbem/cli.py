@@ -113,6 +113,10 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
+            # mkstemp creates the file 0600; give it the mode a plain open would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:
@@ -122,6 +126,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _csv(header: str, labels, *columns) -> str:
     """The header, then per label: the label and that row of every column."""
+    columns = [np.asarray(column).tolist() for column in columns]
     rows = (",".join([str(label), *map(_fmt, values)])
             for label, *values in zip(labels, *columns, strict=True))
     return "\n".join([header, *rows]) + "\n"

@@ -25,26 +25,14 @@ __all__ = [
     "normal_flux",
 ]
 
-_TWO_PI = 2.0 * np.pi
+# w = _POTENTIAL_SCALE * ln(r^2) and its flux _FLUX_SCALE * (diff . direction) / r^2;
+# assembly and interior evaluation fold both into their quadrature weights
+_POTENTIAL_SCALE = -0.25 / np.pi
+_FLUX_SCALE = -0.5 / np.pi
 
 
 class SingularKernelError(ValueError):
     """Field and source points coincide, where the kernel is unbounded."""
-
-
-def _potential(r2):
-    """Logarithmic potential -ln(r)/(2*pi) from the squared separation, unchecked."""
-    # -ln(r) = -ln(r^2)/2 avoids the intermediate square root
-    return -0.25 * np.log(r2) / np.pi
-
-
-def _flux(projection, r2):
-    """Flux kernel -(diff . direction)/(2*pi*r^2) from the projected separation, unchecked.
-
-    ``projection`` is diff . direction for a unit direction, or diff itself
-    (with r2 given a trailing axis) for the full gradient.
-    """
-    return -projection / (_TWO_PI * r2)
 
 
 def _separation(field, source) -> tuple[np.ndarray, np.ndarray]:
@@ -57,13 +45,14 @@ def _separation(field, source) -> tuple[np.ndarray, np.ndarray]:
 
 def fundamental_solution(field, source):
     """Logarithmic potential -ln(r)/(2*pi) at separation r = |field - source|."""
-    return _potential(_separation(field, source)[1])
+    # -ln(r) = -ln(r^2)/2 avoids the intermediate square root
+    return _POTENTIAL_SCALE * np.log(_separation(field, source)[1])
 
 
 def fundamental_flux(field, source) -> np.ndarray:
     """Gradient of the potential with respect to the field point."""
     diff, r2 = _separation(field, source)
-    return _flux(diff, r2[..., np.newaxis])
+    return _FLUX_SCALE * diff / r2[..., np.newaxis]
 
 
 def normal_flux(field, source, normal):
@@ -73,4 +62,4 @@ def normal_flux(field, source, normal):
     if np.any(np.abs(length - 1.0) > 1e-12):
         raise ValueError("normal must be a unit vector")
     diff, r2 = _separation(field, source)
-    return _flux(np.sum(diff * normal, axis=-1), r2)
+    return _FLUX_SCALE * np.sum(diff * normal, axis=-1) / r2

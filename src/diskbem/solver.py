@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BemSystem, _gauss_kernels
+from .assembly import BemSystem, _gauss_kernels, _gauss_points
 from .geometry import BoundaryMesh, InteriorGrid
+from .kernels import _FLUX_SCALE, _POTENTIAL_SCALE
 from .problems import TestProblem
 from .quadrature import QuadratureRule
 
@@ -146,12 +147,19 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
 
 
 def _represent(solution: BoundarySolution, points: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """u at each row of the (P, 2) ``points``, one ``_gauss_kernels`` call per block."""
+    """u at each row of the (P, 2) ``points``, one ``_gauss_kernels`` call per block.
+
+    The kernels come unscaled: the constants -1/(4*pi) and -1/(2*pi) are
+    folded into the (K*n,) charge and dipole once per call, and each block's
+    kernels are weighted, subtracted and summed in place.
+    """
     mesh, u, q = solution.mesh, solution.u_nodes, solution.q_nodes
     t = rule.points[:, np.newaxis]
     scale = rule.weights[:, np.newaxis] * mesh.jacobians
-    charge = scale * (0.5 * (1.0 - t) * q + 0.5 * (1.0 + t) * np.roll(q, -1))
-    dipole = scale * (0.5 * (1.0 - t) * u + 0.5 * (1.0 + t) * np.roll(u, -1))
+    charge = _POTENTIAL_SCALE * scale * (0.5 * (1.0 - t) * q + 0.5 * (1.0 + t) * np.roll(q, -1))
+    dipole = _FLUX_SCALE * scale * (0.5 * (1.0 - t) * u + 0.5 * (1.0 + t) * np.roll(u, -1))
+    charge, dipole = charge.ravel(), dipole.ravel()
+    gauss = _gauss_points(mesh, rule)
     apothems = np.sum(mesh.midpoints * mesh.normals, axis=1)
     block = max(1, _BLOCK_TRIPLES // (mesh.n * rule.order))
     values = np.empty(len(points))
@@ -162,11 +170,12 @@ def _represent(solution: BoundarySolution, points: np.ndarray, rule: QuadratureR
         if not np.all(inside):
             point = sources[np.argmin(inside)].tolist()
             raise ValueError(f"point {point} is not strictly inside the boundary polygon")
-        x, y = sources.T[:, :, np.newaxis, np.newaxis]
-        flux, potential = _gauss_kernels(mesh, rule, x, y)
-        layers = (charge * potential - dipole * flux).reshape(len(sources), -1)
+        flux, potential = _gauss_kernels(gauss, sources[:, :1], sources[:, 1:])
+        potential *= charge
+        flux *= dipole
+        potential -= flux
         # each sum runs over one point's Gauss points, so no value depends on its block
-        values[start : start + block] = np.sum(layers, axis=-1)
+        values[start : start + block] = np.sum(potential, axis=-1)
     return values
 
 

@@ -9,11 +9,14 @@ from diskbem import (
     BoundaryMesh,
     assemble,
     discretize_circle,
+    fundamental_solution,
     gauss_legendre,
     get_problem,
+    normal_flux,
     singular_g_pair,
 )
-from diskbem.assembly import _regular_rows
+from diskbem.assembly import _gauss_kernels, _gauss_points, _regular_rows
+from diskbem.kernels import _FLUX_SCALE, _POTENTIAL_SCALE
 from tests.oracles import brute_element_contributions
 
 TWO_PI = 2.0 * np.pi
@@ -38,6 +41,24 @@ def test_free_term_values():
 
 def test_free_term_approaches_one_half():
     assert abs(_free_term(10**6) - 0.5) < 1e-6
+
+
+# ----------------------------------------------------------------------
+# kernels at the Gauss points
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", [(0.0, 0.0), (0.3, -0.7), (10.0, 0.0)])
+def test_unscaled_gauss_kernels_times_the_constants_are_the_kernels(source, rule8):
+    mesh = discretize_circle(30)
+    gauss = _gauss_points(mesh, rule8)
+    flux, potential = _gauss_kernels(gauss, *source)
+    points, normals = gauss[:2].T, gauss[2:].T
+    assert points.shape == normals.shape == (rule8.order * mesh.n, 2)
+    expected_flux = normal_flux(points, source, normals)
+    expected_potential = fundamental_solution(points, source)
+    np.testing.assert_allclose(_FLUX_SCALE * flux, expected_flux, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(_POTENTIAL_SCALE * potential, expected_potential, rtol=1e-15, atol=0.0)
 
 
 # ----------------------------------------------------------------------

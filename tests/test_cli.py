@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -191,6 +192,23 @@ def test_identical_runs_are_byte_identical(tmp_path):
         report.pop("wall_time_s")
         report["config"].pop("output_dir")
     assert report_a == report_b
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_files_get_the_mode_of_a_plain_open(tmp_path, umask):
+    out = tmp_path / "out"
+    argv = ["--problem", "1", "--mode", "convergence", "--n-list", "15,30", "--output-dir", str(out)]
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "plain").write_text("")
+        assert main(argv) == 0
+    finally:
+        os.umask(previous)
+    expected = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["boundary_flux.csv", "convergence.csv", "interior.csv", "report.json"]
+    for name in names:
+        assert stat.S_IMODE((out / name).stat().st_mode) == expected
 
 
 def test_stdout_summary_mentions_all_four_statistics(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Flux solve, interior evaluation, and solution-level invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,14 +178,27 @@ def test_evaluate_field_runs_in_blocks(monkeypatch, problem1, rule8):
     grid = interior_grid(41)
     blocks = []
 
-    def counting(mesh, rule, x, y):
+    def counting(gauss, x, y):
         blocks.append(len(x))
-        return _gauss_kernels(mesh, rule, x, y)
+        return _gauss_kernels(gauss, x, y)
 
     monkeypatch.setattr(diskbem.solver, "_gauss_kernels", counting)
     evaluate_field(solution, grid, problem1, rule8)
     assert sum(blocks) == len(grid) == 1245
     assert len(blocks) < len(grid) // 10
+
+
+def test_evaluate_field_traced_peak_is_at_most_one_mebibyte(problem1, rule8):
+    # a memory bound, not a timing: each block computes its kernels in place
+    solution = solve_flux(assemble(discretize_circle(120), problem1, rule8))
+    grid = interior_grid(101)
+    tracemalloc.start()
+    try:
+        evaluate_field(solution, grid, problem1, rule8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("n, m", [(30, 11), (60, 41)])
