@@ -15,8 +15,8 @@ Every node sees the same polygon, rotated, so H and G are circulant: row k is
 row 0 rolled by k.  Only row 0 is integrated and stored; the n-by-n matrices
 are built from it when they are read.
 
-Element integrals are regular Gauss-Legendre quadratures except where the
-collocation node is an endpoint of the element:
+Element integrals are Gauss-Legendre quadratures in each chord's own frame
+except where the collocation node is an endpoint of the element:
 
 * the flux kernel is orthogonal to its own chord there, so both H
   contributions are exactly zero and are written as exact zeros;
@@ -88,43 +88,44 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _gauss_points(mesh: BoundaryMesh, rule: QuadratureRule) -> np.ndarray:
-    """Rows x, y, nu_x, nu_y of the Gauss points midpoints[e] + t_k * halves[e], (k, e) flat."""
-    points = mesh.midpoints + rule.points[:, np.newaxis, np.newaxis] * mesh.halves
-    return np.vstack([points.reshape(-1, 2).T, np.tile(mesh.normals, (rule.order, 1)).T])
+def _chord_frames(mesh: BoundaryMesh, rule: QuadratureRule):
+    """Per-mesh arrays of ``_chord_distances``: nu_x, nu_y, tau_x, tau_y, each
+    chord line's offsets p . nu = apothem and p . tau = shift, all (n,), and
+    the (K, n) Gauss offsets J * t_k along each chord from its midpoint."""
+    tangents = mesh.halves / mesh.jacobians[:, np.newaxis]
+    apothems = np.sum(mesh.midpoints * mesh.normals, axis=1)
+    shifts = np.sum(mesh.midpoints * tangents, axis=1)
+    return (*mesh.normals.T, *tangents.T, apothems, shifts, np.outer(rule.points, mesh.jacobians))
 
 
-def _gauss_kernels(gauss: np.ndarray, x, y):
-    """Unscaled flux (d . nu)/r^2 and potential ln(r^2) from sources (x, y) to ``gauss``.
+def _chord_distances(frames, x, y):
+    """Chord depths delta = apothem - p . nu of sources p = (x, y), and r^2 to the Gauss points.
 
-    ``gauss`` comes from ``_gauss_points``; d runs from the source to the
-    Gauss point, nu is its element's normal.  x and y are scalars for one
-    source or (B, 1) arrays for B sources, giving (K*n,) or (B, K*n) kernels.
-    Callers fold the constants of :mod:`diskbem.kernels` into their (K, n)
-    weights.  The arithmetic runs in place: dx, dy, r2 and one transient.
+    In chord e's frame r^2 = (J * t_k - along)^2 + delta^2 and every Gauss
+    point lies at depth delta, so the unscaled kernels are delta/r^2 and ln(r^2);
+    callers fold the constants of :mod:`diskbem.kernels` into their weights.
+    Scalar x and y give (n,) and (K, n); (B, 1) arrays give (B, n) and (B, K, n).
     """
-    gx, gy, nx, ny = gauss
-    dx = gx - x
-    dy = gy - y
-    r2 = dx * dx
-    r2 += dy * dy
-    dx *= nx
-    dy *= ny
-    dx += dy
-    dx /= r2
-    return dx, np.log(r2, out=r2)
+    nx, ny, tx, ty, apothems, shifts, offsets = frames
+    depth = apothems - (x * nx + y * ny)
+    along = x * tx + y * ty - shifts
+    r2 = offsets - along[..., np.newaxis, :]
+    r2 *= r2
+    r2 += (depth * depth)[..., np.newaxis, :]
+    return depth, r2
 
 
 def _regular_rows(mesh: BoundaryMesh, source, rule: QuadratureRule):
-    """Gauss contributions of every element to the row at one source point.
+    """Gauss contributions of every element to the row at one source, from its chord distances.
 
     Returns (h_start, h_end, g_start, g_end), each of shape (n,): the flux
     and potential integrals weighted by the shape functions of the element's
     first and second node.  Elements that contain the source as an endpoint come
     out finite but meaningless here; ``assemble`` overwrites them for node 0.
     """
-    kernels = _gauss_kernels(_gauss_points(mesh, rule), source[0], source[1])
-    flux, potential = (kernel.reshape(rule.order, mesh.n) for kernel in kernels)
+    depth, r2 = _chord_distances(_chord_frames(mesh, rule), source[0], source[1])
+    potential = np.log(r2)
+    flux = np.divide(depth, r2, out=r2)
     t = rule.points
     # the linear shape functions of the element's first and second node
     w_start = (rule.weights * (0.5 * (1.0 - t)))[:, np.newaxis]

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 # w = _POTENTIAL_SCALE * ln(r^2) and its flux _FLUX_SCALE * (diff . direction) / r^2;
-# assembly and interior evaluation fold both into their quadrature weights
+# assembly, interior evaluation and the singular element integrals fold them into their weights
 _POTENTIAL_SCALE = -0.25 / np.pi
 _FLUX_SCALE = -0.5 / np.pi
 

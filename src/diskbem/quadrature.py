@@ -14,8 +14,8 @@ instead of by quadrature:
     int_0^L s ln(s) ds = (L^2/2)*(ln L - 1/2)
 
 Weighting by the linear shape functions (which are 1 - s/L toward the singular
-endpoint and s/L toward the far one) and by the kernel factor -1/(2*pi) yields
-the pair returned by ``singular_g_pair``.
+endpoint and s/L toward the far one) and by the kernel factor -1/(2*pi), twice
+``kernels._POTENTIAL_SCALE``, yields the pair returned by ``singular_g_pair``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _POTENTIAL_SCALE
+
 __all__ = [
     "MAX_ORDER",
     "QuadratureRule",
@@ -33,8 +35,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 64
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,6 @@ def singular_g_pair(length: float) -> tuple[float, float]:
     log_l = math.log(length)
     moment0 = length * (log_l - 1.0)
     moment1 = 0.5 * length * length * (log_l - 0.5)
-    g_near = -(moment0 - moment1 / length) / _TWO_PI
-    g_far = -(moment1 / length) / _TWO_PI
+    g_near = 2.0 * _POTENTIAL_SCALE * (moment0 - moment1 / length)
+    g_far = 2.0 * _POTENTIAL_SCALE * (moment1 / length)
     return g_near, g_far

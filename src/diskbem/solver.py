@@ -6,10 +6,10 @@ Gauss's law in place of G's constant mode.  Inside the polygon,
 
     u(p) = sum_i [charge_i w(p, x_i) - dipole_i dw/dn(p, x_i)],
 
-the single- minus the double-layer potential summed over all Gauss points
-x_i, where charge and dipole are q and u interpolated and weighted.  p must
-lie strictly inside the polygon, so no integral is singular; points within
-half an element length of the boundary are flagged.
+the single- minus the double-layer potential summed over all Gauss points x_i,
+where charge and dipole are q and u interpolated and weighted.  p must lie
+strictly inside every chord's half-plane (positive depth), so no integral is
+singular; points within half an element length of the boundary are flagged.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BemSystem, _gauss_kernels, _gauss_points
+from .assembly import BemSystem, _chord_distances, _chord_frames
 from .geometry import BoundaryMesh, InteriorGrid
 from .kernels import _FLUX_SCALE, _POTENTIAL_SCALE
 from .problems import TestProblem
@@ -147,35 +147,32 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
 
 
 def _represent(solution: BoundarySolution, points: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """u at each row of the (P, 2) ``points``, one ``_gauss_kernels`` call per block.
+    """u at each row of the (P, 2) ``points``, one ``_chord_distances`` call per block.
 
-    The kernels come unscaled: the constants -1/(4*pi) and -1/(2*pi) are
-    folded into the (K*n,) charge and dipole once per call, and each block's
-    kernels are weighted, subtracted and summed in place.
+    With chord depths delta, the double layer is sum_e delta_e sum_k dipole/r^2
+    and the single layer sum charge * ln(r^2); -1/(2*pi) and -1/(4*pi) are
+    folded into the (K, n) dipole and charge once per call.
     """
     mesh, u, q = solution.mesh, solution.u_nodes, solution.q_nodes
     t = rule.points[:, np.newaxis]
     scale = rule.weights[:, np.newaxis] * mesh.jacobians
     charge = _POTENTIAL_SCALE * scale * (0.5 * (1.0 - t) * q + 0.5 * (1.0 + t) * np.roll(q, -1))
     dipole = _FLUX_SCALE * scale * (0.5 * (1.0 - t) * u + 0.5 * (1.0 + t) * np.roll(u, -1))
-    charge, dipole = charge.ravel(), dipole.ravel()
-    gauss = _gauss_points(mesh, rule)
-    apothems = np.sum(mesh.midpoints * mesh.normals, axis=1)
+    frames = _chord_frames(mesh, rule)
     block = max(1, _BLOCK_TRIPLES // (mesh.n * rule.order))
     values = np.empty(len(points))
     for start in range(0, len(points), block):
         sources = points[start : start + block]
+        depth, r2 = _chord_distances(frames, sources[:, :1], sources[:, 1:])
         # strictly inside every chord's half-plane, written so that NaN fails
-        inside = np.all(sources @ mesh.normals.T < apothems, axis=1)
+        inside = np.all(depth > 0.0, axis=1)
         if not np.all(inside):
             point = sources[np.argmin(inside)].tolist()
             raise ValueError(f"point {point} is not strictly inside the boundary polygon")
-        flux, potential = _gauss_kernels(gauss, sources[:, :1], sources[:, 1:])
-        potential *= charge
-        flux *= dipole
-        potential -= flux
-        # each sum runs over one point's Gauss points, so no value depends on its block
-        values[start : start + block] = np.sum(potential, axis=-1)
+        # each reduction runs over one point's Gauss points, so no value depends on its block
+        single = np.einsum("bkn,kn->b", np.log(r2), charge)
+        double = np.einsum("bkn,bn->b", np.divide(dipole, r2, out=r2), depth)
+        values[start : start + block] = single - double
     return values
 
 

@@ -21,7 +21,7 @@ from diskbem import (
     interior_grid,
     solve_flux,
 )
-from diskbem.assembly import _gauss_kernels, _regular_rows
+from diskbem.assembly import _chord_distances, _regular_rows
 from diskbem.solver import REL_EXCLUSION_THRESHOLD
 
 
@@ -178,11 +178,11 @@ def test_evaluate_field_runs_in_blocks(monkeypatch, problem1, rule8):
     grid = interior_grid(41)
     blocks = []
 
-    def counting(gauss, x, y):
+    def counting(frames, x, y):
         blocks.append(len(x))
-        return _gauss_kernels(gauss, x, y)
+        return _chord_distances(frames, x, y)
 
-    monkeypatch.setattr(diskbem.solver, "_gauss_kernels", counting)
+    monkeypatch.setattr(diskbem.solver, "_chord_distances", counting)
     evaluate_field(solution, grid, problem1, rule8)
     assert sum(blocks) == len(grid) == 1245
     assert len(blocks) < len(grid) // 10
@@ -223,6 +223,18 @@ def test_a_point_gets_the_same_value_in_any_block(problem1, rule8):
     report = evaluate_field(solution, interior_grid(41), problem1, rule8)
     for k, point in enumerate(report.points):
         assert evaluate_interior(solution, point, rule8) == report.u_bem[k]
+
+
+@pytest.mark.parametrize("n, m", [(60, 41), (120, 101)])
+def test_u_bem_is_bitwise_equal_for_any_block_size(monkeypatch, n, m, problem1, rule8):
+    # one point per block and one block of every point sum in the same order
+    solution = solve_flux(assemble(discretize_circle(n), problem1, rule8))
+    grid = interior_grid(m)
+    reference = evaluate_field(solution, grid, problem1, rule8).u_bem
+    for triples in (n * rule8.order, len(grid) * n * rule8.order):
+        monkeypatch.setattr(diskbem.solver, "_BLOCK_TRIPLES", triples)
+        u_bem = evaluate_field(solution, grid, problem1, rule8).u_bem
+        np.testing.assert_array_equal(u_bem, reference)
 
 
 def test_symmetry_of_the_discrete_field(solution30, rule8):
