@@ -45,8 +45,8 @@ print(f"max rel error  {stats.max_rel:.8e}")
 print(f"mean abs error {stats.mean_abs:.8e}")
 print(f"mean rel error {stats.mean_rel:.8e}")
 
-# The worst point sits closest to the boundary, where the quadrature of the
-# nearly singular influence integrals is least accurate.
+# The chord integrals are exact, so the worst point's error is the
+# discretisation's: linear elements on the inscribed polygon, not quadrature.
 worst = int(np.argmax(report.abs_err))
 x, y = report.points[worst]
 print(f"worst point ({x:+.2f}, {y:+.2f}), abs error {report.abs_err[worst]:.3e}")

@@ -16,7 +16,9 @@ row 0 rolled by k.  Only row 0 is integrated and stored; the n-by-n matrices
 are built from it when they are read.
 
 Element integrals are Gauss-Legendre quadratures in each chord's own frame
-except where the collocation node is an endpoint of the element:
+(``_chord_frames`` and ``_chord_distances``, used by assembly alone: interior
+evaluation integrates exactly) except where the collocation node is an
+endpoint of the element:
 
 * the flux kernel is orthogonal to its own chord there, so both H
   contributions are exactly zero and are written as exact zeros;
@@ -99,19 +101,19 @@ def _chord_frames(mesh: BoundaryMesh, rule: QuadratureRule):
 
 
 def _chord_distances(frames, x, y):
-    """Chord depths delta = apothem - p . nu of sources p = (x, y), and r^2 to the Gauss points.
+    """Chord depths delta = apothem - p . nu of one source p = (x, y), and r^2 to the Gauss points.
 
-    In chord e's frame r^2 = (J * t_k - along)^2 + delta^2 and every Gauss
-    point lies at depth delta, so the unscaled kernels are delta/r^2 and ln(r^2);
-    callers fold the constants of :mod:`diskbem.kernels` into their weights.
-    Scalar x and y give (n,) and (K, n); (B, 1) arrays give (B, n) and (B, K, n).
+    Returns depth, (n,), and r^2, (K, n).  In chord e's frame
+    r^2 = (J * t_k - along)^2 + delta^2 with along = p . tau - shift, and every
+    Gauss point lies at depth delta, so the unscaled kernels are delta/r^2 and
+    ln(r^2); the caller folds the constants of :mod:`diskbem.kernels` into its
+    weights.
     """
     nx, ny, tx, ty, apothems, shifts, offsets = frames
     depth = apothems - (x * nx + y * ny)
-    along = x * tx + y * ty - shifts
-    r2 = offsets - along[..., np.newaxis, :]
+    r2 = offsets - (x * tx + y * ty - shifts)
     r2 *= r2
-    r2 += (depth * depth)[..., np.newaxis, :]
+    r2 += depth * depth
     return depth, r2
 
 

@@ -59,7 +59,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--quad-order", type=int, default=8, metavar="K",
-        help=f"Gauss-Legendre order for regular element integrals, 1..{MAX_ORDER} (default 8)",
+        help=f"Gauss-Legendre order of the assembly integrals, 1..{MAX_ORDER} (default 8)",
     )
     parser.add_argument(
         "--mode", choices=("solve", "convergence"), default="solve",

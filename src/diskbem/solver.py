@@ -4,12 +4,17 @@ The FFT diagonalizes the circulants G and H (P. J. Davis, *Circulant
 Matrices*, 1979) to solve G q = c u + H u for the nodal fluxes q, with
 Gauss's law in place of G's constant mode.  Inside the polygon,
 
-    u(p) = sum_i [charge_i w(p, x_i) - dipole_i dw/dn(p, x_i)],
+    u(p) = int q w(p, x) ds - int u dw/dn(p, x) ds,
 
-the single- minus the double-layer potential summed over all Gauss points x_i,
-where charge and dipole are q and u interpolated and weighted.  p must lie
-strictly inside every chord's half-plane (positive depth), so no integral is
-singular; points within half an element length of the boundary are flagged.
+the single- minus the double-layer potential of the linear densities q and u
+on the chords.  Both are integrated exactly, in the closed forms for straight
+panels (J. L. Hess and A. M. O. Smith, Prog. Aerospace Sci. 8, 1967): on each
+chord they reduce to ln r^2 at its two ends and the angle it subtends at p,
+weighted by polynomials of degree 2 in p.  So a point costs one log per node
+and one arctan2 per chord, contracted with coefficients built once per
+solution; no quadrature rule is involved.  p must lie strictly inside every
+chord's half-plane, so no integral is singular; points within half an element
+length of the boundary are flagged.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BemSystem, _chord_distances, _chord_frames
+from .assembly import BemSystem
 from .geometry import BoundaryMesh, InteriorGrid
 from .kernels import _FLUX_SCALE, _POTENTIAL_SCALE
 from .problems import TestProblem
@@ -45,8 +50,8 @@ PIVOT_THRESHOLD = 1e-12
 
 _RESIDUAL_FACTOR = 1e-10
 
-# (point, Gauss point, element) triples per block of interior evaluation
-_BLOCK_TRIPLES = 2**14
+# (point, node) pairs per block of interior evaluation
+_BLOCK_PAIRS = 2**13
 
 
 class SolveError(RuntimeError):
@@ -146,39 +151,114 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
     return BoundarySolution(system.mesh, system.u_nodes, q)
 
 
-def _represent(solution: BoundarySolution, points: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """u at each row of the (P, 2) ``points``, one ``_chord_distances`` call per block.
+def _layer_coefficients(solution: BoundarySolution):
+    """What ``_block_values`` needs of a solution: the (5, 2n) coefficients of
+    [ln r^2 at each node | angle of each chord], 5 constants, and the (2, n+1)
+    node coordinates with node 0 repeated.
 
-    With chord depths delta, the double layer is sum_e delta_e sum_k dipole/r^2
-    and the single layer sum charge * ln(r^2); -1/(2*pi) and -1/(4*pi) are
-    folded into the (K, n) dipole and charge once per call.
+    On chord e, from node a to node b with length L and unit tangent tau, an
+    end zeta lies at w = (zeta - p) conj(tau) = s - i delta from p = x + iy in
+    the chord's frame.  Fold the kernel constants into qf = -q/(4 pi) and
+    uf = u/(2 pi), and write beta = (qf_b - qf_a)/L and, at each end,
+    kappa = qf + i (uf_b - uf_a)/(2L) and Phi = kappa w - beta w^2/2.  The exact
+    integrals of the linear densities over every chord then sum to
+
+        u(p) = sum_j l_j Re(Phi_b[j-1] - Phi_a[j]) + sum_e theta_e (uf_a[e] - 2 Im Phi_a[e])
+               + sum_e Re(beta L (m_e - p) conj(tau)) - L (qf_a + qf_b),
+
+    with l_j = ln r^2 at node j, theta_e the angle chord e subtends at p and m_e
+    its midpoint.  Every coefficient is a complex polynomial of degree 2 in p, so
+    its real part is one column in the basis 1, x, y, x^2 - y^2, 2xy.
     """
-    mesh, u, q = solution.mesh, solution.u_nodes, solution.q_nodes
-    t = rule.points[:, np.newaxis]
-    scale = rule.weights[:, np.newaxis] * mesh.jacobians
-    charge = _POTENTIAL_SCALE * scale * (0.5 * (1.0 - t) * q + 0.5 * (1.0 + t) * np.roll(q, -1))
-    dipole = _FLUX_SCALE * scale * (0.5 * (1.0 - t) * u + 0.5 * (1.0 + t) * np.roll(u, -1))
-    frames = _chord_frames(mesh, rule)
-    block = max(1, _BLOCK_TRIPLES // (mesh.n * rule.order))
+    mesh = solution.mesh
+    n = mesh.n
+    length = 2.0 * mesh.jacobians
+    conj_tangent = (mesh.halves[:, 0] - 1j * mesh.halves[:, 1]) / mesh.jacobians
+    qf = _POTENTIAL_SCALE * solution.q_nodes
+    uf = -_FLUX_SCALE * solution.u_nodes
+    qf_next = np.roll(qf, -1)
+    beta = (qf_next - qf) / length
+    u_slope = (0.5j / length) * (np.roll(uf, -1) - uf)
+    # Phi = phi0 + phi1 p + phi2 p^2 at each end, from w = w0 - conj(tau) p
+    w0 = (mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]) * conj_tangent
+    kappa = qf + u_slope
+    start0, start1 = w0 * (kappa - 0.5 * beta * w0), conj_tangent * (beta * w0 - kappa)
+    w0 += length
+    kappa = qf_next + u_slope
+    end0, end1 = w0 * (kappa - 0.5 * beta * w0), conj_tangent * (beta * w0 - kappa)
+    phi2 = -0.5 * beta * conj_tangent * conj_tangent
+    coefficients = np.empty((5, 2 * n))
+    for column, (c0, c1, c2) in (
+        (slice(0, n), (np.roll(end0, 1) - start0, np.roll(end1, 1) - start1, np.roll(phi2, 1) - phi2)),
+        (slice(n, None), (uf + 2j * start0, 2j * start1, 2j * phi2)),
+    ):
+        # Re(c0 + c1 p + c2 p^2) in the basis 1, x, y, x^2 - y^2, 2xy
+        coefficients[:, column] = c0.real, c1.real, -c1.imag, c2.real, -c2.imag
+    midpoints = mesh.midpoints[:, 0] + 1j * mesh.midpoints[:, 1]
+    c0 = np.sum(beta * length * midpoints * conj_tangent) - np.sum(length * (qf + qf_next))
+    c1 = -np.sum(beta * length * conj_tangent)
+    constants = np.array([c0.real, c1.real, -c1.imag, 0.0, 0.0])
+    closed = np.append(mesh.nodes, mesh.nodes[:1], axis=0).T.copy()
+    return coefficients, constants, closed
+
+
+def _block_values(layers, sources: np.ndarray, work) -> np.ndarray:
+    """u at the (B, 2) ``sources`` from the exact integrals over every chord.
+
+    The cross product of the offsets to a chord's ends is L * delta, so its sign
+    is the half-plane test; then one arctan2 per chord and one log per node, all
+    in the first B rows of the ``work`` arrays.
+    """
+    coefficients, constants, closed = layers
+    n = closed.shape[1] - 1
+    dx, dy, cross, kernels = (array[: len(sources)] for array in work)
+    ell, theta = kernels[:, :n], kernels[:, n:]
+    np.subtract(closed[0], sources[:, :1], out=dx)
+    np.subtract(closed[1], sources[:, 1:], out=dy)
+    np.multiply(dx[:, :-1], dy[:, 1:], out=cross)
+    cross -= np.multiply(dy[:, :-1], dx[:, 1:], out=ell)
+    # strictly inside every chord's half-plane, written so that NaN fails
+    inside = np.all(cross > 0.0, axis=1)
+    if not np.all(inside):
+        point = sources[np.argmin(inside)].tolist()
+        raise ValueError(f"point {point} is not strictly inside the boundary polygon")
+    np.multiply(dx[:, :-1], dx[:, 1:], out=theta)
+    theta += np.multiply(dy[:, :-1], dy[:, 1:], out=ell)
+    np.arctan2(cross, theta, out=theta)
+    dx *= dx
+    dy *= dy
+    np.log(np.add(dx[:, :-1], dy[:, :-1], out=cross), out=ell)
+    # each reduction runs over one point's nodes and chords, so no value depends on its block
+    terms = np.einsum("bn,mn->bm", kernels, coefficients) + constants
+    x, y = sources[:, 0], sources[:, 1]
+    return (
+        terms[:, 0] + x * terms[:, 1] + y * terms[:, 2]
+        + (x * x - y * y) * terms[:, 3] + 2.0 * x * y * terms[:, 4]
+    )
+
+
+def _represent(solution: BoundarySolution, points: np.ndarray) -> np.ndarray:
+    """u at each row of the (P, 2) ``points``, one ``_block_values`` call per block.
+
+    The blocks share one workspace: a fresh (B, n) array per block would be
+    page-faulted in again each time.
+    """
+    layers = _layer_coefficients(solution)
+    n = solution.mesh.n
+    block = max(1, min(len(points), _BLOCK_PAIRS // n))
+    work = tuple(np.empty((block, width)) for width in (n + 1, n + 1, n, 2 * n))
     values = np.empty(len(points))
     for start in range(0, len(points), block):
-        sources = points[start : start + block]
-        depth, r2 = _chord_distances(frames, sources[:, :1], sources[:, 1:])
-        # strictly inside every chord's half-plane, written so that NaN fails
-        inside = np.all(depth > 0.0, axis=1)
-        if not np.all(inside):
-            point = sources[np.argmin(inside)].tolist()
-            raise ValueError(f"point {point} is not strictly inside the boundary polygon")
-        # each reduction runs over one point's Gauss points, so no value depends on its block
-        single = np.einsum("bkn,kn->b", np.log(r2), charge)
-        double = np.einsum("bkn,bn->b", np.divide(dipole, r2, out=r2), depth)
-        values[start : start + block] = single - double
+        values[start : start + block] = _block_values(layers, points[start : start + block], work)
     return values
 
 
 def evaluate_interior(solution: BoundarySolution, point, rule: QuadratureRule) -> float:
-    """Evaluate the representation at one point strictly inside the boundary polygon."""
-    return float(_represent(solution, np.asarray(point, dtype=float).reshape(1, 2), rule)[0])
+    """Evaluate the representation at one point strictly inside the boundary polygon.
+
+    ``rule`` is not read: the chord integrals are exact, so K is the order of assembly only.
+    """
+    return float(_represent(solution, np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
 def evaluate_field(
@@ -187,9 +267,12 @@ def evaluate_field(
     problem: TestProblem,
     rule: QuadratureRule,
 ) -> FieldReport:
-    """Evaluate the solution on a grid and compare with the exact field."""
+    """Evaluate the solution on a grid and compare with the exact field.
+
+    ``rule`` is not read: the chord integrals are exact, so K is the order of assembly only.
+    """
     points = grid.points
-    u_bem = _represent(solution, points, rule)
+    u_bem = _represent(solution, points)
     u_exact = np.asarray(problem.u(points), dtype=float)
     half_length = float(np.max(solution.mesh.jacobians))
     flags = 1.0 - np.hypot(points[:, 0], points[:, 1]) < half_length

@@ -74,3 +74,36 @@ def brute_element_contributions(nodes, i, source, panels=2**14, order=4):
         jac * float(np.sum(w * potential * start)),
         jac * float(np.sum(w * potential * end)),
     )
+
+
+def composite_element_rows(nodes, source, order=16, near_panels=256):
+    """Composite-Gauss (h_start, h_end, g_start, g_end) of every element at one source, each (n,).
+
+    An element whose midpoint lies within two element lengths of the source is
+    split into ``near_panels`` uniform panels; any other element is at least
+    six panel half-lengths away from each of its two panels, where a Gauss
+    rule of this order is exact to rounding.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    first, second = nodes, np.roll(nodes, -1, axis=0)
+    mid, half = 0.5 * (first + second), 0.5 * (second - first)
+    jac = np.hypot(half[:, 0], half[:, 1])
+    normal = np.column_stack([half[:, 1], -half[:, 0]]) / jac[:, None]
+    near = np.hypot(*(mid - source).T) < 4.0 * jac
+    t0, w0 = np.polynomial.legendre.leggauss(order)
+    rows = np.empty((4, len(nodes)))
+    for chosen, panels in ((near, near_panels), (~near, 2)):
+        edges = np.linspace(-1.0, 1.0, panels + 1)
+        a, b = edges[:-1], edges[1:]
+        t = (0.5 * (b - a)[:, None] * t0 + 0.5 * (a + b)[:, None]).ravel()
+        w = (0.5 * (b - a)[:, None] * w0).ravel()
+        field = mid[chosen, None, :] + t[None, :, None] * half[chosen, None, :]
+        diff = field - np.asarray(source, dtype=float)
+        r2 = np.sum(diff * diff, axis=-1)
+        flux = -np.sum(diff * normal[chosen, None, :], axis=-1) / (TWO_PI * r2)
+        potential = -0.5 * np.log(r2) / TWO_PI
+        start, end = w * 0.5 * (1.0 - t), w * 0.5 * (1.0 + t)
+        scale = jac[chosen]
+        rows[:, chosen] = scale * [flux @ start, flux @ end, potential @ start, potential @ end]
+    return rows
+

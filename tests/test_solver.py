@@ -1,5 +1,6 @@
 """Flux solve, interior evaluation, and solution-level invariants."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -17,12 +18,13 @@ from diskbem import (
     discretize_circle,
     evaluate_field,
     evaluate_interior,
+    gauss_legendre,
     get_problem,
     interior_grid,
     solve_flux,
 )
-from diskbem.assembly import _chord_distances, _regular_rows
-from diskbem.solver import REL_EXCLUSION_THRESHOLD
+from diskbem.solver import REL_EXCLUSION_THRESHOLD, _block_values
+from tests.oracles import composite_element_rows
 
 
 # ----------------------------------------------------------------------
@@ -178,20 +180,22 @@ def test_evaluate_field_runs_in_blocks(monkeypatch, problem1, rule8):
     grid = interior_grid(41)
     blocks = []
 
-    def counting(frames, x, y):
-        blocks.append(len(x))
-        return _chord_distances(frames, x, y)
+    def counting(layers, sources, work):
+        blocks.append(len(sources))
+        return _block_values(layers, sources, work)
 
-    monkeypatch.setattr(diskbem.solver, "_chord_distances", counting)
+    monkeypatch.setattr(diskbem.solver, "_block_values", counting)
     evaluate_field(solution, grid, problem1, rule8)
     assert sum(blocks) == len(grid) == 1245
     assert len(blocks) < len(grid) // 10
 
 
-def test_evaluate_field_traced_peak_is_at_most_one_mebibyte(problem1, rule8):
-    # a memory bound, not a timing: each block computes its kernels in place
-    solution = solve_flux(assemble(discretize_circle(120), problem1, rule8))
-    grid = interior_grid(101)
+@pytest.mark.parametrize("n, m", [(120, 101), (1500, 11)])
+def test_evaluate_field_traced_peak_is_at_most_one_mebibyte(n, m, problem1, rule8):
+    # a memory bound, not a timing: the blocks share one workspace, and the
+    # coefficients are built from (n,) vectors
+    solution = solve_flux(assemble(discretize_circle(n), problem1, rule8))
+    grid = interior_grid(m)
     tracemalloc.start()
     try:
         evaluate_field(solution, grid, problem1, rule8)
@@ -201,20 +205,71 @@ def test_evaluate_field_traced_peak_is_at_most_one_mebibyte(problem1, rule8):
     assert peak <= 2**20
 
 
+def test_evaluation_does_not_depend_on_the_quadrature_order(solution30, grid11, problem1):
+    # the chord integrals are exact: K is the order of assembly only
+    reports = [evaluate_field(solution30, grid11, problem1, gauss_legendre(k)) for k in (2, 8, 64)]
+    for report in reports[1:]:
+        np.testing.assert_array_equal(report.u_bem, reports[0].u_bem)
+
+
+def _layer_potentials(rows, solution):
+    """The single layer of q minus the double layer of u from (P, 4, n) element rows."""
+    h_start, h_end, g_start, g_end = np.moveaxis(rows, 1, 0)
+    u, q = solution.u_nodes, solution.q_nodes
+    return (g_start @ q + g_end @ np.roll(q, -1)) - (h_start @ u + h_end @ np.roll(u, -1))
+
+
+@functools.cache
+def _lattice_rows(n, m):
+    # composite-Gauss element rows at every lattice point, shared by the five problems
+    nodes = discretize_circle(n).nodes
+    return np.array([composite_element_rows(nodes, point) for point in interior_grid(m).points])
+
+
 @pytest.mark.parametrize("n, m", [(30, 11), (60, 41)])
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
 def test_layer_potentials_equal_the_row_form(pid, n, m, rule8):
-    # the representation with the element rows of each point, as assembly
-    # integrates them: sum(g_start q + g_end q_next) - sum(h_start u + h_end u_next)
-    problem, mesh = get_problem(pid), discretize_circle(n)
-    solution = solve_flux(assemble(mesh, problem, rule8))
-    u, q = solution.u_nodes, solution.q_nodes
+    # the representation with the element rows of each point, integrated by
+    # composite Gauss: sum(g_start q + g_end q_next) - sum(h_start u + h_end u_next).
+    # Measured: at most 3.3e-15 max|u| at n = 30 and 1.2e-14 at n = 60, both
+    # for problem 4, whose max|q| is about 7 max|u|: the rounding of the layer sums
+    problem = get_problem(pid)
+    solution = solve_flux(assemble(discretize_circle(n), problem, rule8))
     report = evaluate_field(solution, interior_grid(m), problem, rule8)
-    for point, value in zip(report.points, report.u_bem):
-        h_start, h_end, g_start, g_end = _regular_rows(mesh, point, rule8)
-        single = np.sum(g_start * q + g_end * np.roll(q, -1))
-        double = np.sum(h_start * u + h_end * np.roll(u, -1))
-        assert abs(value - (single - double)) <= 1e-14 * np.max(np.abs(u))
+    reference = _layer_potentials(_lattice_rows(n, m), solution)
+    assert np.max(np.abs(report.u_bem - reference)) <= 2.5e-14 * np.max(np.abs(solution.u_nodes))
+
+
+@functools.cache
+def _near_chord_case(n):
+    """40 points at each depth h/2, h/10 and h/50 below random chords of the
+    n-gon (h the chord length), within 90% of the half-length, then 40 with
+    |p| < 0.9; and the composite-Gauss element rows at each."""
+    mesh = discretize_circle(n)
+    rng = np.random.default_rng(n)
+    length = 2.0 * mesh.jacobians[0]
+    groups = []
+    for depth in (length / 2, length / 10, length / 50):
+        chord = rng.integers(0, n, 40)
+        along = rng.uniform(-0.9, 0.9, (40, 1))
+        groups.append(mesh.midpoints[chord] + along * mesh.halves[chord] - depth * mesh.normals[chord])
+    radius, angle = 0.9 * np.sqrt(rng.uniform(size=40)), rng.uniform(0.0, 2.0 * np.pi, 40)
+    groups.append(np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
+    points = np.concatenate(groups)
+    return points, np.array([composite_element_rows(mesh.nodes, point) for point in points])
+
+
+@pytest.mark.parametrize("n", [30, 120, 480])
+@pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
+def test_values_near_a_chord_match_a_composite_reference(pid, n, rule8):
+    # measured: at most 1.1e-14, 1.8e-14 and 2.1e-14 max|u| at n = 30, 120 and
+    # 480; Gauss-8 was off by up to 0.88 max|u| at depth h/50
+    problem = get_problem(pid)
+    solution = solve_flux(assemble(discretize_circle(n), problem, rule8))
+    points, rows = _near_chord_case(n)
+    report = evaluate_field(solution, InteriorGrid(points), problem, rule8)
+    error = np.abs(report.u_bem - _layer_potentials(rows, solution))
+    assert np.max(error) <= 5e-14 * np.max(np.abs(solution.u_nodes))
 
 
 def test_a_point_gets_the_same_value_in_any_block(problem1, rule8):
@@ -231,8 +286,8 @@ def test_u_bem_is_bitwise_equal_for_any_block_size(monkeypatch, n, m, problem1, 
     solution = solve_flux(assemble(discretize_circle(n), problem1, rule8))
     grid = interior_grid(m)
     reference = evaluate_field(solution, grid, problem1, rule8).u_bem
-    for triples in (n * rule8.order, len(grid) * n * rule8.order):
-        monkeypatch.setattr(diskbem.solver, "_BLOCK_TRIPLES", triples)
+    for pairs in (n, len(grid) * n):
+        monkeypatch.setattr(diskbem.solver, "_BLOCK_PAIRS", pairs)
         u_bem = evaluate_field(solution, grid, problem1, rule8).u_bem
         np.testing.assert_array_equal(u_bem, reference)
 
