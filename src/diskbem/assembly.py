@@ -15,10 +15,11 @@ Every node sees the same polygon, rotated, so H and G are circulant: row k is
 row 0 rolled by k.  Only row 0 is integrated and stored; the n-by-n matrices
 are built from it when they are read.
 
-Element integrals are Gauss-Legendre quadratures in each chord's own frame
-(``_chord_frames`` and ``_chord_distances``, used by assembly alone: interior
-evaluation integrates exactly) except where the collocation node is an
-endpoint of the element:
+Row 0 is integrated from the node angles alone.  In element j's own frame
+node 0 has closed-form offsets in j, and element n-1-j is element j
+mirrored, so only one shape function is integrated by Gauss-Legendre
+quadrature and the other is its reversal (see ``assemble``), except where
+node 0 is an endpoint of the element:
 
 * the flux kernel is orthogonal to its own chord there, so both H
   contributions are exactly zero and are written as exact zeros;
@@ -26,7 +27,9 @@ endpoint of the element:
   closed forms in :mod:`diskbem.quadrature` (``singular_g_pair``).
 
 Entry j of row 0 sums the contributions of the two elements sharing node j in
-a fixed order, so two assemblies of the same inputs are bitwise identical.
+a fixed order, so two assemblies of the same inputs are bitwise identical,
+and entries j and n-j sum the same two values, so row 0 is exactly
+mirror-symmetric.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ __all__ = ["BemSystem", "assemble"]
 class BemSystem:
     """Assembled circulant system relating nodal potentials to nodal fluxes.
 
-    h_row and g_row are row 0 of H and G, read-only float64 arrays of shape
-    (n,); row k of either matrix is its row 0 rolled by k and collocates at
-    node k.  u_nodes holds the Dirichlet data sampled at the nodes.  The free
-    term c is not stored: it follows from the mesh.
+    h_row and g_row are row 0 of H and G; row k of either matrix is its row 0
+    rolled by k and collocates at node k.  u_nodes holds the Dirichlet data
+    sampled at the nodes.  All three are read-only float64 arrays of shape
+    (n,).  The free term c is not stored: it follows from the mesh.
     """
 
     mesh: BoundaryMesh
@@ -59,12 +62,12 @@ class BemSystem:
     u_nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("h_row", "g_row"):
-            row = np.array(getattr(self, name), dtype=float)
-            if row.shape != (self.mesh.n,):
-                raise ValueError(f"{name} must have shape ({self.mesh.n},), got {row.shape}")
-            row.setflags(write=False)
-            object.__setattr__(self, name, row)
+        for name in ("h_row", "g_row", "u_nodes"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (self.mesh.n,):
+                raise ValueError(f"{name} must have shape ({self.mesh.n},), got {values.shape}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def c(self) -> float:
@@ -90,72 +93,44 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _chord_frames(mesh: BoundaryMesh, rule: QuadratureRule):
-    """Per-mesh arrays of ``_chord_distances``: nu_x, nu_y, tau_x, tau_y, each
-    chord line's offsets p . nu = apothem and p . tau = shift, all (n,), and
-    the (K, n) Gauss offsets J * t_k along each chord from its midpoint."""
-    tangents = mesh.halves / mesh.jacobians[:, np.newaxis]
-    apothems = np.sum(mesh.midpoints * mesh.normals, axis=1)
-    shifts = np.sum(mesh.midpoints * tangents, axis=1)
-    return (*mesh.normals.T, *tangents.T, apothems, shifts, np.outer(rule.points, mesh.jacobians))
+def assemble(mesh: BoundaryMesh, problem: TestProblem, rule: QuadratureRule) -> BemSystem:
+    """Integrate row 0 of H and G from the node angles and sample the Dirichlet data.
 
-
-def _chord_distances(frames, x, y):
-    """Chord depths delta = apothem - p . nu of one source p = (x, y), and r^2 to the Gauss points.
-
-    Returns depth, (n,), and r^2, (K, n).  In chord e's frame
-    r^2 = (J * t_k - along)^2 + delta^2 with along = p . tau - shift, and every
-    Gauss point lies at depth delta, so the unscaled kernels are delta/r^2 and
-    ln(r^2); the caller folds the constants of :mod:`diskbem.kernels` into its
-    weights.
+    Row 0 uses node 0 as source.  With phi = pi/n, element j runs from node j
+    to node j+1 with half-length J = sin(phi); in its frame node 0 lies at
+    depth 2*sin(j*phi)*sin((j+1)*phi) below the chord and sin((2j+1)*phi)
+    behind its midpoint, so r^2 to the point at t is
+    (J*t + sin((2j+1)*phi))^2 + depth^2.  Element n-1-j is element j mirrored
+    (t -> -t), so only the end-node weights are integrated with ``rule`` and
+    the start-node weights are their reversal; ``rule`` is taken to be
+    symmetric about 0, as every Gauss-Legendre rule is.  The elements sharing
+    node 0, element 0 and element n-1, are singular for it: their H
+    contributions are exact zeros and their G contributions come from
+    ``singular_g_pair``.
     """
-    nx, ny, tx, ty, apothems, shifts, offsets = frames
-    depth = apothems - (x * nx + y * ny)
-    r2 = offsets - (x * tx + y * ty - shifts)
+    n = mesh.n
+    # sin(m*pi/n) for m = 0 .. 2n-1: depths from consecutive m, offsets from odd m
+    sines = np.sin(np.arange(2 * n) * (np.pi / n))
+    jacobian = sines[1]
+    depth = 2.0 * sines[:n] * sines[1 : n + 1]
+    r2 = jacobian * rule.points[:, np.newaxis] + sines[1::2]
     r2 *= r2
     r2 += depth * depth
-    return depth, r2
-
-
-def _regular_rows(mesh: BoundaryMesh, source, rule: QuadratureRule):
-    """Gauss contributions of every element to the row at one source, from its chord distances.
-
-    Returns (h_start, h_end, g_start, g_end), each of shape (n,): the flux
-    and potential integrals weighted by the shape functions of the element's
-    first and second node.  Elements that contain the source as an endpoint come
-    out finite but meaningless here; ``assemble`` overwrites them for node 0.
-    """
-    depth, r2 = _chord_distances(_chord_frames(mesh, rule), source[0], source[1])
+    # the shape function of the element's end node, with the arc-length scale
+    w_end = (jacobian * rule.weights * (0.5 * (1.0 + rule.points)))[:, np.newaxis]
     potential = np.log(r2)
+    potential *= _POTENTIAL_SCALE * w_end
     flux = np.divide(depth, r2, out=r2)
-    t = rule.points
-    # the linear shape functions of the element's first and second node
-    w_start = (rule.weights * (0.5 * (1.0 - t)))[:, np.newaxis]
-    w_end = (rule.weights * (0.5 * (1.0 + t)))[:, np.newaxis]
-    h_start = mesh.jacobians * np.sum(flux * (_FLUX_SCALE * w_start), axis=0)
-    h_end = mesh.jacobians * np.sum(flux * (_FLUX_SCALE * w_end), axis=0)
-    g_start = mesh.jacobians * np.sum(potential * (_POTENTIAL_SCALE * w_start), axis=0)
-    g_end = mesh.jacobians * np.sum(potential * (_POTENTIAL_SCALE * w_end), axis=0)
-    return h_start, h_end, g_start, g_end
-
-
-def assemble(mesh: BoundaryMesh, problem: TestProblem, rule: QuadratureRule) -> BemSystem:
-    """Integrate row 0 of H and G and sample the Dirichlet data.
-
-    Row 0 uses node 0 as source.  The two elements sharing node 0, element 0
-    and element n-1, are singular for it: their H contributions are exact
-    zeros and their G contributions come from ``singular_g_pair``.  All
-    remaining elements are integrated with ``rule``.
-    """
-    h_start, h_end, g_start, g_end = _regular_rows(mesh, mesh.nodes[0], rule)
-    lengths = 2.0 * mesh.jacobians
-    # elements sharing node 0: flux integrals vanish by orthogonality
-    h_start[[0, -1]] = h_end[[0, -1]] = 0.0
-    # potential integrals: exact log moments, near value at the singular node
-    g_start[0], g_end[0] = singular_g_pair(lengths[0])
-    g_end[-1], g_start[-1] = singular_g_pair(lengths[-1])
-    # node j collects the start of element j and the end of element j-1
-    h_row = h_start + np.roll(h_end, 1)
-    g_row = g_start + np.roll(g_end, 1)
+    flux *= _FLUX_SCALE * w_end
+    h_end = flux.sum(axis=0)
+    g_end = potential.sum(axis=0)
+    # elements sharing node 0: flux integrals vanish by orthogonality, and the
+    # exact log moments give element n-1's end at node 0 the near value
+    h_end[0] = h_end[-1] = 0.0
+    g_end[-1], g_end[0] = singular_g_pair(2.0 * jacobian)
+    # node j collects the start of element j, which is the end of element
+    # n-1-j mirrored, and the end of element j-1
+    h_row = h_end[::-1] + np.roll(h_end, 1)
+    g_row = g_end[::-1] + np.roll(g_end, 1)
     u_nodes = np.asarray(problem.u(mesh.nodes), dtype=float)
     return BemSystem(mesh, h_row, g_row, u_nodes)

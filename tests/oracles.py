@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's own element-integration code paths:
 they re-derive every geometric quantity from the raw node coordinates and use
-numpy's Gauss rule directly, so agreement is meaningful evidence.
+numpy's Gauss rule directly, so agreement is meaningful evidence.  The one
+exception, ``gauss_rule_rows``, applies the library's own rule and kernels at
+absolute Gauss points, so that it differs from assembly by rounding alone.
 """
 
 import numpy as np
+
+from diskbem import fundamental_solution, normal_flux, singular_g_pair
 
 TWO_PI = 2.0 * np.pi
 
@@ -107,3 +111,28 @@ def composite_element_rows(nodes, source, order=16, near_panels=256):
         rows[:, chosen] = scale * [flux @ start, flux @ end, potential @ start, potential @ end]
     return rows
 
+
+def gauss_rule_rows(nodes, rule):
+    """Row 0 of H and G, node 0 the source, by ``rule`` at each chord's absolute Gauss points.
+
+    The kernels are ``normal_flux`` and ``fundamental_solution`` at
+    midpoint + t * half-chord; the two elements sharing node 0 take exact zeros
+    for H and ``singular_g_pair`` for G.  Returns (h_row, g_row), each (n,).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes)
+    second = np.roll(nodes, -1, axis=0)
+    mid, half = 0.5 * (nodes + second), 0.5 * (second - nodes)
+    jac = np.hypot(half[:, 0], half[:, 1])
+    normal = np.column_stack([half[:, 1], -half[:, 0]]) / jac[:, None]
+    regular = slice(1, n - 1)
+    points = mid[regular] + rule.points[:, None, None] * half[regular]
+    flux = normal_flux(points, nodes[0], np.broadcast_to(normal[regular], points.shape))
+    potential = fundamental_solution(points, nodes[0])
+    start, end = rule.weights * 0.5 * (1.0 - rule.points), rule.weights * 0.5 * (1.0 + rule.points)
+    rows = np.zeros((4, n))
+    rows[:, regular] = jac[regular] * [start @ flux, end @ flux, start @ potential, end @ potential]
+    rows[2:, 0] = singular_g_pair(2.0 * jac[0])
+    rows[2:, -1] = singular_g_pair(2.0 * jac[-1])[::-1]
+    # node j collects the start of element j and the end of element j-1
+    return rows[0] + np.roll(rows[1], 1), rows[2] + np.roll(rows[3], 1)

@@ -1,25 +1,20 @@
 """Influence-matrix assembly: free term, element integrals, singular handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-import diskbem.assembly
 from diskbem import (
     BemSystem,
     BoundaryMesh,
     assemble,
     discretize_circle,
-    fundamental_solution,
     gauss_legendre,
     get_problem,
-    normal_flux,
     singular_g_pair,
 )
-from diskbem.assembly import _chord_distances, _chord_frames, _regular_rows
-from diskbem.kernels import _FLUX_SCALE, _POTENTIAL_SCALE
-from tests.oracles import brute_element_contributions
-
-TWO_PI = 2.0 * np.pi
+from tests.oracles import brute_element_contributions, gauss_rule_rows
 
 
 # ----------------------------------------------------------------------
@@ -44,63 +39,38 @@ def test_free_term_approaches_one_half():
 
 
 # ----------------------------------------------------------------------
-# kernels at the Gauss points
+# row 0 against the same rule
 # ----------------------------------------------------------------------
 
-
-@pytest.mark.parametrize("source", [(0.0, 0.0), (0.3, -0.45), (0.9, 0.2), (10.0, 0.0)])
-def test_unscaled_gauss_kernels_times_the_constants_are_the_kernels(source, rule8):
-    # depth/r^2 and ln(r^2) in the chord frames against the kernels at the
-    # absolute Gauss points, a different rounding path: measured at most
-    # 1.13e-15 relative in the flux and 2.22e-16 absolute in the potential,
-    # which is near 0 where r is near 1; each bound is about twice that
-    mesh = discretize_circle(30)
-    depth, r2 = _chord_distances(_chord_frames(mesh, rule8), *source)
-    assert depth.shape == (mesh.n,) and r2.shape == (rule8.order, mesh.n)
-    points = mesh.midpoints + rule8.points[:, np.newaxis, np.newaxis] * mesh.halves
-    normals = np.broadcast_to(mesh.normals, points.shape)
-    expected_flux = normal_flux(points, source, normals)
-    expected_potential = fundamental_solution(points, source)
-    np.testing.assert_allclose(_FLUX_SCALE * depth / r2, expected_flux, rtol=2e-15, atol=0.0)
-    np.testing.assert_allclose(_POTENTIAL_SCALE * np.log(r2), expected_potential, rtol=0.0, atol=4.5e-16)
+ORDERS = [1, 2, 8, 64]
 
 
-# ----------------------------------------------------------------------
-# per-element flux integrals
-# ----------------------------------------------------------------------
+@pytest.mark.parametrize("order", ORDERS)
+def test_rows_are_bitwise_mirror_symmetric(order):
+    # node 0 sees element n-1-j as element j mirrored, so entries j and n-j
+    # sum the same two values
+    rule = gauss_legendre(order)
+    for n in range(3, 65):
+        system = assemble(discretize_circle(n), get_problem(1), rule)
+        for row in (system.h_row, system.g_row):
+            assert np.array_equal(row[1:], row[:0:-1]), f"row 0 is not mirror-symmetric at n = {n}"
 
 
-def test_h_contributions_decay_with_distance(rule8):
-    mesh = discretize_circle(30)
-    length = 2.0 * mesh.jacobians[0]
-    h_start, h_end, _, _ = _regular_rows(mesh, np.array([10.0, 0.0]), rule8)
-    # |flux kernel| <= 1/(2*pi*r) with r >= 9 everywhere on the element
-    bound = length / (TWO_PI * 9.0)
-    assert abs(h_start[0]) + abs(h_end[0]) <= bound
-
-
-def test_h_contributions_vanish_for_collinear_outside_source(rule8):
-    # source on the chord's line but outside the element: the separation is
-    # parallel to the chord, so the normal projection vanishes (to rounding,
-    # since the square's nodes are cos/sin values that are not exact)
-    mesh = discretize_circle(4)
-    first, second = mesh.nodes[3], mesh.nodes[0]
-    source = second + (second - first)
-    h_start, h_end, _, _ = _regular_rows(mesh, source, rule8)
-    assert abs(h_start[3]) <= 1e-15
-    assert abs(h_end[3]) <= 1e-15
-
-
-def test_total_flux_seen_from_an_interior_point(rule8):
-    # summed over a closed boundary, the flux kernel integrates to -1 for any
-    # source strictly inside
-    mesh = discretize_circle(30)
-    h_start, h_end, _, _ = _regular_rows(mesh, np.array([0.3, 0.2]), rule8)
-    assert np.sum(h_start + h_end) == pytest.approx(-1.0, abs=1e-3)
+@pytest.mark.parametrize("order", ORDERS)
+def test_rows_match_the_same_rule_at_absolute_gauss_points(order):
+    # the closed-form offsets against the kernels at midpoint + t * half-chord:
+    # measured at most 3.2e-13 of the row's largest entry, at n = 480
+    rule = gauss_legendre(order)
+    for n in [*range(3, 65), 120, 480]:
+        mesh = discretize_circle(n)
+        system = assemble(mesh, get_problem(1), rule)
+        for row, expected in zip((system.h_row, system.g_row), gauss_rule_rows(mesh.nodes, rule)):
+            bound = 5e-13 * np.max(np.abs(expected))
+            assert np.max(np.abs(row - expected)) <= bound, f"n = {n}"
 
 
 # ----------------------------------------------------------------------
-# per-element potential integrals
+# element integrals against closed forms and composite quadrature
 # ----------------------------------------------------------------------
 
 
@@ -120,34 +90,43 @@ def test_g_contributions_singular_closed_form(rule8):
     assert np.allclose(np.diag(system.G), 2.0 * near, rtol=1e-12)
 
 
-def test_g_contributions_sign_follows_distance(rule8):
-    # -ln(r) is positive inside unit separation and negative beyond it
-    mesh = discretize_circle(30)
-    _, _, g_near_start, g_near_end = _regular_rows(mesh, np.array([0.0, 0.0]), rule8)
-    assert g_near_start[15] > 0.0 and g_near_end[15] > 0.0
-    _, _, g_far_start, g_far_end = _regular_rows(mesh, np.array([10.0, 0.0]), rule8)
-    assert g_far_start[15] < 0.0 and g_far_end[15] < 0.0
+def test_g_contributions_sign_follows_distance(system30):
+    # -ln(r) is positive inside unit separation and negative beyond it: the
+    # elements around node 2 lie within 0.62 of node 0, those around node 15
+    # beyond 1.9
+    assert system30.g_row[2] > 0.0
+    assert system30.g_row[15] < 0.0
+
+
+def _brute_row(mesh, k):
+    """Row k of H and G from composite-quadrature element integrals, singular elements in closed form."""
+    n = mesh.n
+    h_row = np.zeros(n)
+    g_row = np.zeros(n)
+    for i in range(n):
+        if i == k or i == (k - 1) % n:
+            h_pair = (0.0, 0.0)
+            g_near, g_far = singular_g_pair(2.0 * mesh.jacobians[i])
+            g_pair = (g_near, g_far) if i == k else (g_far, g_near)
+        else:
+            brute = brute_element_contributions(mesh.nodes, i, mesh.nodes[k])
+            h_pair = brute[:2]
+            g_pair = brute[2:]
+        h_row[i] += h_pair[0]
+        h_row[(i + 1) % n] += h_pair[1]
+        g_row[i] += g_pair[0]
+        g_row[(i + 1) % n] += g_pair[1]
+    return h_row, g_row
 
 
 @pytest.mark.parametrize("source_node", [2, 5])
 def test_regular_element_integrals_match_composite_quadrature(rule8, source_node):
-    mesh = discretize_circle(8)
-    source = mesh.nodes[source_node]
-    rows = np.array(_regular_rows(mesh, source, rule8))
-    for i in range(8):
-        if i in (source_node, (source_node - 1) % 8):
-            continue  # singular rows use the closed form, checked elsewhere
-        brute = brute_element_contributions(mesh.nodes, i, source)
-        assert np.allclose(rows[:, i], brute, atol=1e-9)
-
-
-def test_interior_source_element_integrals_match_composite_quadrature(rule8):
-    mesh = discretize_circle(8)
-    source = np.array([0.25, -0.1])
-    rows = np.array(_regular_rows(mesh, source, rule8))
-    for i in range(8):
-        brute = brute_element_contributions(mesh.nodes, i, source)
-        assert np.allclose(rows[:, i], brute, atol=1e-9)
+    # odd n: element 4 lies across from node 0 and is its own mirror image
+    mesh = discretize_circle(9)
+    system = assemble(mesh, get_problem(1), rule8)
+    h_row, g_row = _brute_row(mesh, source_node)
+    assert np.allclose(system.H[source_node], h_row, rtol=0.0, atol=1e-9)
+    assert np.allclose(system.G[source_node], g_row, rtol=0.0, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -175,17 +154,24 @@ def test_system_stores_only_read_only_first_rows(system30, mesh30):
         BemSystem(mesh30, system30.H, system30.G, system30.u_nodes)
 
 
-def test_assemble_integrates_a_single_row(monkeypatch, mesh30, problem1, rule8):
-    sources = []
+def test_system_refuses_mis_sized_nodal_data(system30, mesh30):
+    with pytest.raises(ValueError, match="u_nodes"):
+        BemSystem(mesh30, system30.h_row, system30.g_row, np.zeros(31))
+    with pytest.raises(ValueError):
+        system30.u_nodes[0] = 1.0
 
-    def counting(mesh, source, rule):
-        sources.append(source)
-        return _regular_rows(mesh, source, rule)
 
-    monkeypatch.setattr(diskbem.assembly, "_regular_rows", counting)
-    assemble(mesh30, problem1, rule8)
-    assert len(sources) == 1
-    assert np.array_equal(sources[0], mesh30.nodes[0])
+def test_assemble_integrates_a_single_row(problem1, rule8):
+    # a few (K, n) arrays at most, never an n-by-n matrix: measured 3.9*K*n
+    # floats at n = 2000
+    mesh = discretize_circle(2000)
+    tracemalloc.start()
+    try:
+        assemble(mesh, problem1, rule8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * rule8.order * mesh.n * 8
 
 
 def test_assemble_is_deterministic(mesh30, problem1, rule8):
@@ -219,27 +205,13 @@ def test_matrices_are_circulant(system30):
 
 
 def test_assemble_rows_match_per_element_calls(rule8):
+    # row k is row 0 of the node list that starts at node k
     mesh = discretize_circle(12)
     system = assemble(mesh, get_problem(2), rule8)
-    n = mesh.n
     for k in (0, 5):
-        h_start, h_end, g_start, g_end = _regular_rows(mesh, mesh.nodes[k], rule8)
-        h_row = np.zeros(n)
-        g_row = np.zeros(n)
-        for i in range(n):
-            if i == k or i == (k - 1) % n:
-                h_pair = (0.0, 0.0)
-                g_near, g_far = singular_g_pair(2.0 * mesh.jacobians[i])
-                g_pair = (g_near, g_far) if i == k else (g_far, g_near)
-            else:
-                h_pair = (h_start[i], h_end[i])
-                g_pair = (g_start[i], g_end[i])
-            h_row[i] += h_pair[0]
-            h_row[(i + 1) % n] += h_pair[1]
-            g_row[i] += g_pair[0]
-            g_row[(i + 1) % n] += g_pair[1]
-        assert np.allclose(h_row, system.H[k], atol=1e-14)
-        assert np.allclose(g_row, system.G[k], atol=1e-14)
+        h_row, g_row = gauss_rule_rows(np.roll(mesh.nodes, -k, axis=0), rule8)
+        assert np.allclose(np.roll(h_row, k), system.H[k], rtol=0.0, atol=1e-14)
+        assert np.allclose(np.roll(g_row, k), system.G[k], rtol=0.0, atol=1e-14)
 
 
 def test_row_identity_against_the_free_term(system30):
@@ -256,25 +228,7 @@ def test_row_identity_tightens_under_refinement(row_identity_errors):
 def test_full_system_against_composite_quadrature(rule8):
     mesh = discretize_circle(8)
     system = assemble(mesh, get_problem(1), rule8)
-    n = mesh.n
-    H = np.zeros((n, n))
-    G = np.zeros((n, n))
-    for k in range(n):
-        for i in range(n):
-            adjacent = i == k or i == (k - 1) % n
-            if adjacent:
-                h_pair = (0.0, 0.0)
-                length = 2.0 * mesh.jacobians[i]
-                g_near, g_far = singular_g_pair(length)
-                g_pair = (g_near, g_far) if i == k else (g_far, g_near)
-            else:
-                brute = brute_element_contributions(mesh.nodes, i, mesh.nodes[k])
-                h_pair = brute[:2]
-                g_pair = brute[2:]
-            H[k, i] += h_pair[0]
-            H[k, (i + 1) % n] += h_pair[1]
-            G[k, i] += g_pair[0]
-            G[k, (i + 1) % n] += g_pair[1]
+    H, G = np.array([_brute_row(mesh, k) for k in range(mesh.n)]).transpose(1, 0, 2)
     assert np.max(np.abs(system.H - H)) <= 1e-9
     assert np.max(np.abs(system.G - G)) <= 1e-9
 
