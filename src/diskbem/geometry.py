@@ -2,8 +2,7 @@
 
 The boundary is the regular n-gon inscribed in the unit circle.  Node i sits
 at angle 2*pi*(i+1)/n, so the last node is always (1, 0) and the traversal is
-counterclockwise.  Element i is the chord from node i to node (i+1) % n,
-parameterized by t in [-1, 1] as midpoint + t * half-chord.
+counterclockwise.  Element i is the chord from node i to node (i+1) % n.
 """
 
 from __future__ import annotations
@@ -20,26 +19,19 @@ __all__ = ["BoundaryMesh", "InteriorGrid", "discretize_circle", "interior_grid"]
 class BoundaryMesh:
     """The regular n-gon inscribed in the unit circle, defined by n >= 3 alone.
 
-    Every array is built once on construction and frozen:
+    angles : (n,) node angles 2*pi*(i+1)/n, built once and frozen.
+    nodes : (n, 2) node coordinates (cos, sin) of those angles, likewise.
 
-    angles : (n,) node angles 2*pi*(i+1)/n.
-    nodes : (n, 2) node coordinates (cos, sin) of those angles.
-    midpoints, halves : (n, 2) element midpoints and half-chords; element i
-        is midpoints[i] + t * halves[i] for t in [-1, 1].
-    jacobians : (n,) arc-length scale of that map, half the chord length.
-    normals : (n, 2) unit normals pointing out of the polygon.
-
-    Because the mesh can only be this polygon, every vertex has the same
-    interior angle and assembly may use the free term (n-2)/(2n).
+    Nothing is stored per element, because every element is element 0
+    rotated: with phi = pi/n, each chord has length 2 sin(phi), and in its own
+    frame (the origin at the centre, the chord along the real axis) it runs
+    from -sin(phi) - i cos(phi) to sin(phi) - i cos(phi).  Every vertex has the
+    same interior angle, so assembly may use the free term (n-2)/(2n).
     """
 
     n: int
     angles: np.ndarray = field(init=False, repr=False, compare=False)
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    midpoints: np.ndarray = field(init=False, repr=False, compare=False)
-    halves: np.ndarray = field(init=False, repr=False, compare=False)
-    jacobians: np.ndarray = field(init=False, repr=False, compare=False)
-    normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = operator.index(self.n)
@@ -47,19 +39,8 @@ class BoundaryMesh:
             raise ValueError(f"the boundary polygon needs at least 3 nodes, got {n}")
         angles = 2.0 * np.pi * np.arange(1, n + 1) / n
         nodes = np.column_stack([np.cos(angles), np.sin(angles)])
-        nxt = np.roll(nodes, -1, axis=0)
-        halves = 0.5 * (nxt - nodes)
-        jacobians = np.hypot(halves[:, 0], halves[:, 1])
-        normals = np.column_stack([halves[:, 1], -halves[:, 0]]) / jacobians[:, np.newaxis]
         object.__setattr__(self, "n", n)
-        for name, value in (
-            ("angles", angles),
-            ("nodes", nodes),
-            ("midpoints", 0.5 * (nodes + nxt)),
-            ("halves", halves),
-            ("jacobians", jacobians),
-            ("normals", normals),
-        ):
+        for name, value in (("angles", angles), ("nodes", nodes)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 

@@ -14,7 +14,7 @@ weighted by polynomials of degree 2 in p.  So a point costs one log per node
 and one arctan2 per chord, contracted with coefficients built once per
 solution; no quadrature rule is involved.  p must lie strictly inside every
 chord's half-plane, so no integral is singular; points within half an element
-length of the boundary are flagged.
+length, sin(pi/n), of the unit circle are flagged.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class FieldReport:
 
     abs_err and rel_err are derived from u_bem and u_exact on construction;
     rel_err is NaN wherever |u_exact| < REL_EXCLUSION_THRESHOLD.
-    near_boundary flags points within half an element length of the boundary.
+    near_boundary flags points within half an element length, sin(pi/n), of
+    the unit circle: 1 - |p| < sin(pi/n).
     """
 
     points: np.ndarray
@@ -156,31 +157,36 @@ def _layer_coefficients(solution: BoundarySolution):
     [ln r^2 at each node | angle of each chord], 5 constants, and the (2, n+1)
     node coordinates with node 0 repeated.
 
-    On chord e, from node a to node b with length L and unit tangent tau, an
-    end zeta lies at w = (zeta - p) conj(tau) = s - i delta from p = x + iy in
-    the chord's frame.  Fold the kernel constants into qf = -q/(4 pi) and
-    uf = u/(2 pi), and write beta = (qf_b - qf_a)/L and, at each end,
+    Every chord is chord 0 rotated.  With phi = pi/n, chord e from node a to
+    node b has length L = 2 sin(phi), and its frame w = (zeta - p) conj(tau),
+    tau the unit tangent, puts node a at w0 - conj(tau) p and node b at
+    w0 + L - conj(tau) p, where w0 = -sin(phi) - i cos(phi) for every chord; so
+    conj(tau) = w0 conj(zeta_a).  Fold the kernel constants into qf = -q/(4 pi)
+    and uf = u/(2 pi), and write beta = (qf_b - qf_a)/L and, at each end,
     kappa = qf + i (uf_b - uf_a)/(2L) and Phi = kappa w - beta w^2/2.  The exact
     integrals of the linear densities over every chord then sum to
 
         u(p) = sum_j l_j Re(Phi_b[j-1] - Phi_a[j]) + sum_e theta_e (uf_a[e] - 2 Im Phi_a[e])
-               + sum_e Re(beta L (m_e - p) conj(tau)) - L (qf_a + qf_b),
+               - sum_e Re(beta L conj(tau) p) - L sum_e (qf_a + qf_b),
 
-    with l_j = ln r^2 at node j, theta_e the angle chord e subtends at p and m_e
-    its midpoint.  Every coefficient is a complex polynomial of degree 2 in p, so
-    its real part is one column in the basis 1, x, y, x^2 - y^2, 2xy.
+    with l_j = ln r^2 at node j and theta_e the angle chord e subtends at p.
+    (Each chord's midpoint lies at -i cos(phi) in its frame, so the midpoint
+    term of the integrals is imaginary and drops.)  Every coefficient is a
+    complex polynomial of degree 2 in p, so its real part is one column in the
+    basis 1, x, y, x^2 - y^2, 2xy.
     """
     mesh = solution.mesh
     n = mesh.n
-    length = 2.0 * mesh.jacobians
-    conj_tangent = (mesh.halves[:, 0] - 1j * mesh.halves[:, 1]) / mesh.jacobians
+    half_length = np.sin(np.pi / n)
+    length = 2.0 * half_length
+    w0 = complex(-half_length, -np.cos(np.pi / n))
+    conj_tangent = w0 * (mesh.nodes[:, 0] - 1j * mesh.nodes[:, 1])
     qf = _POTENTIAL_SCALE * solution.q_nodes
     uf = -_FLUX_SCALE * solution.u_nodes
     qf_next = np.roll(qf, -1)
     beta = (qf_next - qf) / length
     u_slope = (0.5j / length) * (np.roll(uf, -1) - uf)
     # Phi = phi0 + phi1 p + phi2 p^2 at each end, from w = w0 - conj(tau) p
-    w0 = (mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]) * conj_tangent
     kappa = qf + u_slope
     start0, start1 = w0 * (kappa - 0.5 * beta * w0), conj_tangent * (beta * w0 - kappa)
     w0 += length
@@ -194,10 +200,8 @@ def _layer_coefficients(solution: BoundarySolution):
     ):
         # Re(c0 + c1 p + c2 p^2) in the basis 1, x, y, x^2 - y^2, 2xy
         coefficients[:, column] = c0.real, c1.real, -c1.imag, c2.real, -c2.imag
-    midpoints = mesh.midpoints[:, 0] + 1j * mesh.midpoints[:, 1]
-    c0 = np.sum(beta * length * midpoints * conj_tangent) - np.sum(length * (qf + qf_next))
-    c1 = -np.sum(beta * length * conj_tangent)
-    constants = np.array([c0.real, c1.real, -c1.imag, 0.0, 0.0])
+    c1 = -length * np.sum(beta * conj_tangent)
+    constants = np.array([-length * np.sum(qf + qf_next), c1.real, -c1.imag, 0.0, 0.0])
     closed = np.append(mesh.nodes, mesh.nodes[:1], axis=0).T.copy()
     return coefficients, constants, closed
 
@@ -274,6 +278,5 @@ def evaluate_field(
     points = grid.points
     u_bem = _represent(solution, points)
     u_exact = np.asarray(problem.u(points), dtype=float)
-    half_length = float(np.max(solution.mesh.jacobians))
-    flags = 1.0 - np.hypot(points[:, 0], points[:, 1]) < half_length
+    flags = 1.0 - np.hypot(points[:, 0], points[:, 1]) < np.sin(np.pi / solution.mesh.n)
     return FieldReport(points, u_bem, u_exact, flags)

@@ -1,5 +1,7 @@
 """The uniform n-gon mesh, its element frames, and interior grids."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,87 +66,67 @@ def test_mesh_nodes_are_frozen():
     mesh = discretize_circle(5)
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 2.0
-    for frame in (mesh.angles, mesh.midpoints, mesh.halves, mesh.jacobians, mesh.normals):
-        with pytest.raises(ValueError):
-            frame[0] = 0.0
+    with pytest.raises(ValueError):
+        mesh.angles[0] = 0.0
+
+
+def test_mesh_stores_nothing_per_element():
+    # angles and nodes are 3 floats per node; per-element arrays would add 7
+    n = 100_000
+    tracemalloc.start()
+    try:
+        BoundaryMesh(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n
 
 
 # ----------------------------------------------------------------------
-# element frames
+# every element is element 0 rotated
 # ----------------------------------------------------------------------
+
+
+def _chords(mesh):
+    """Each chord's start node, end node and unit tangent, from the stored nodes."""
+    start = mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]
+    end = np.roll(start, -1)
+    return start, end, (end - start) / np.abs(end - start)
 
 
 def test_jacobian_is_half_chord_length():
-    assert discretize_circle(30).jacobians[0] == pytest.approx(np.sin(np.pi / 30), rel=1e-15)
-    assert discretize_circle(4).jacobians[2] == pytest.approx(SQRT_HALF, rel=1e-15)
-    assert np.allclose(discretize_circle(6).jacobians, 0.5, rtol=1e-15)
-
-
-def test_normals_on_the_square():
-    mesh = discretize_circle(4)
-    # element 3 runs from (1, 0) to (0, 1), element 0 from (0, 1) to (-1, 0)
-    assert np.allclose(mesh.normals[3], (SQRT_HALF, SQRT_HALF), atol=1e-15)
-    assert np.allclose(mesh.normals[0], (-SQRT_HALF, SQRT_HALF), atol=1e-15)
+    # half the distance between consecutive nodes is sin(pi/n) on every chord;
+    # measured to 7e-15 relative at n = 30, the rounding of the node angles
+    for n, half_length in ((30, np.sin(np.pi / 30)), (4, SQRT_HALF), (6, 0.5)):
+        start, end, _ = _chords(discretize_circle(n))
+        assert np.allclose(0.5 * np.abs(end - start), half_length, rtol=2e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [5, 12, 30])
 def test_normals_are_unit_outward_and_perpendicular(n):
-    mesh = discretize_circle(n)
-    for i in range(n):
-        normal = mesh.normals[i]
-        chord = mesh.nodes[(i + 1) % n] - mesh.nodes[i]
-        assert np.hypot(*normal) == pytest.approx(1.0, abs=1e-14)
-        assert abs(normal @ chord) <= 1e-14 * np.hypot(*chord)
-        assert normal @ mesh.midpoints[i] > 0.0  # outward on a circle centered at 0
-
-
-def test_element_point_endpoints_exact():
-    # element i runs from node i to node i+1: its frames are exactly the
-    # half-sum and half-difference of those two stored nodes (halving is exact)
-    mesh = discretize_circle(7)
-    for i in range(7):
-        first, second = mesh.nodes[i], mesh.nodes[(i + 1) % 7]
-        assert np.array_equal(2.0 * mesh.midpoints[i], first + second)
-        assert np.array_equal(2.0 * mesh.halves[i], second - first)
-
-
-def test_adjacent_elements_share_their_node_exactly():
-    # the end node of element i and the start node of element i+1 are the same
-    # stored node, bit for bit, in both elements' frames
-    mesh = discretize_circle(9)
-    for i in range(9):
-        shared = mesh.nodes[(i + 1) % 9]
-        before, after = mesh.nodes[i], mesh.nodes[(i + 2) % 9]
-        assert np.array_equal(2.0 * mesh.midpoints[i], before + shared)
-        assert np.array_equal(2.0 * mesh.halves[i], shared - before)
-        assert np.array_equal(2.0 * mesh.midpoints[(i + 1) % 9], shared + after)
-        assert np.array_equal(2.0 * mesh.halves[(i + 1) % 9], after - shared)
+    # the outward unit normal -i tau of each chord points at its midpoint,
+    # which lies cos(pi/n) from the centre
+    start, end, tangent = _chords(discretize_circle(n))
+    midpoint = 0.5 * (start + end)
+    bound = 1e-15 / np.sin(np.pi / n)  # a node difference's rounding, over the chord
+    assert np.allclose(midpoint, np.cos(np.pi / n) * -1j * tangent, rtol=0.0, atol=bound)
 
 
 def test_element_frames_span_each_chord():
-    # midpoint -/+ half-chord gives the element's first/second node, and so
-    # the node shared with the next element, to within one rounding
-    mesh = discretize_circle(7)
-    successors = np.roll(mesh.nodes, -1, axis=0)
-    assert np.allclose(mesh.midpoints - mesh.halves, mesh.nodes, rtol=0.0, atol=2e-16)
-    assert np.allclose(mesh.midpoints + mesh.halves, successors, rtol=0.0, atol=2e-16)
-
-
-def test_element_point_midpoint_and_array_argument():
-    mesh = discretize_circle(6)
-    assert np.allclose(mesh.midpoints[2], 0.5 * (mesh.nodes[2] + mesh.nodes[3]), rtol=1e-15)
-    t = np.array([-1.0, 0.0, 1.0])
-    batch = mesh.midpoints[2] + t[:, np.newaxis] * mesh.halves[2]
-    assert batch.shape == (3, 2)
-    assert np.allclose(batch[0], mesh.nodes[2], rtol=0.0, atol=2e-16)
-    assert np.array_equal(batch[1], mesh.midpoints[2])
+    # in each chord's frame w = zeta conj(tau), its start node lies at
+    # -sin(pi/n) - i cos(pi/n) and its end 2 sin(pi/n) further along
+    for n in (3, 7, 30, 480):
+        start, end, tangent = _chords(discretize_circle(n))
+        w0 = complex(-np.sin(np.pi / n), -np.cos(np.pi / n))
+        bound = 1e-15 / np.sin(np.pi / n)  # a node difference's rounding, over the chord
+        assert np.allclose(start * np.conj(tangent), w0, rtol=0.0, atol=bound)
+        assert np.allclose(end * np.conj(tangent), w0 + 2.0 * np.sin(np.pi / n), rtol=0.0, atol=bound)
 
 
 @pytest.mark.parametrize("n", [3, 10, 50])
 def test_total_chord_length(n):
-    mesh = discretize_circle(n)
-    total = np.sum(2.0 * mesh.jacobians)
-    assert total == pytest.approx(2 * n * np.sin(np.pi / n), rel=1e-13)
+    start, end, _ = _chords(discretize_circle(n))
+    assert np.sum(np.abs(end - start)) == pytest.approx(2 * n * np.sin(np.pi / n), rel=1e-13)
 
 
 # ----------------------------------------------------------------------

@@ -84,7 +84,8 @@ def test_fft_solve_matches_a_dense_solve(pid, n, rule8):
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = system.G
     bordered[:n, n] = 1.0
-    bordered[n, :n] = 2.0 * system.mesh.jacobians
+    nodes = system.mesh.nodes
+    bordered[n, :n] = np.hypot(*(np.roll(nodes, -1, axis=0) - nodes).T)
     rhs = np.append(system.c * u + system.H @ u, 0.0)
     dense = np.linalg.solve(bordered, rhs)[:n]
     q = solve_flux(system).q_nodes
@@ -247,23 +248,29 @@ def _near_chord_case(n):
     |p| < 0.9; and the composite-Gauss element rows at each."""
     mesh = discretize_circle(n)
     rng = np.random.default_rng(n)
-    length = 2.0 * mesh.jacobians[0]
+    # each chord's frame from its two nodes, as the oracles take it
+    first, second = mesh.nodes, np.roll(mesh.nodes, -1, axis=0)
+    mid, half = 0.5 * (first + second), 0.5 * (second - first)
+    half_length = np.hypot(half[:, 0], half[:, 1])
+    inward = np.column_stack([-half[:, 1], half[:, 0]]) / half_length[:, np.newaxis]
+    length = 2.0 * half_length[0]
     groups = []
     for depth in (length / 2, length / 10, length / 50):
         chord = rng.integers(0, n, 40)
         along = rng.uniform(-0.9, 0.9, (40, 1))
-        groups.append(mesh.midpoints[chord] + along * mesh.halves[chord] - depth * mesh.normals[chord])
+        groups.append(mid[chord] + along * half[chord] + depth * inward[chord])
     radius, angle = 0.9 * np.sqrt(rng.uniform(size=40)), rng.uniform(0.0, 2.0 * np.pi, 40)
     groups.append(np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
     points = np.concatenate(groups)
     return points, np.array([composite_element_rows(mesh.nodes, point) for point in points])
 
 
-@pytest.mark.parametrize("n", [30, 120, 480])
+@pytest.mark.parametrize("n", [7, 30, 120, 480])
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
 def test_values_near_a_chord_match_a_composite_reference(pid, n, rule8):
-    # measured: at most 1.1e-14, 1.8e-14 and 2.1e-14 max|u| at n = 30, 120 and
-    # 480; Gauss-8 was off by up to 0.88 max|u| at depth h/50
+    # measured: at most 8.3e-16, 1.1e-14, 9.0e-15 and 1.5e-14 max|u| at n = 7,
+    # 30, 120 and 480; Gauss-8 was off by up to 0.88 max|u| at depth h/50.
+    # n = 7 is odd, so its nodes do not come in antipodal pairs
     problem = get_problem(pid)
     solution = solve_flux(assemble(discretize_circle(n), problem, rule8))
     points, rows = _near_chord_case(n)
