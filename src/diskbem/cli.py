@@ -1,7 +1,7 @@
 """Command-line runner: solve a benchmark problem and write CSV/JSON outputs.
 
-Exit codes: 0 on success, 1 when assembly/solve/evaluation fails, an interior point
-lies outside the boundary polygon, memory runs out or the output directory cannot be
+Exit codes: 0 on success (evaluation accepts every point of the interior grid), 1 when
+assembly/solve/evaluation fails, memory runs out or the output directory cannot be
 written (with a diagnostic on stderr), 2 for usage errors (nothing is written).  All
 files are written atomically (temp file then rename), with LF line endings and floats
 serialized via ``repr``, i.e. the shortest digit string that round-trips, so identical

@@ -50,8 +50,8 @@ class InteriorGrid:
     """Interior evaluation points as the caller gives them; no position is checked here.
 
     points : (k, 2) float array.  ``interior_grid`` keeps only lattice points
-    strictly inside the circle, in row-major order (y varies slowest), and
-    evaluation refuses any point not strictly inside the boundary polygon.
+    strictly inside the unit circle, in row-major order (y varies slowest), and
+    evaluation refuses any other point by the same test, ``_in_open_disk``.
     """
 
     points: np.ndarray
@@ -70,6 +70,11 @@ def discretize_circle(n: int) -> BoundaryMesh:
     return BoundaryMesh(n)
 
 
+def _in_open_disk(points: np.ndarray) -> np.ndarray:
+    """x^2 + y^2 < 1 per row of the (k, 2) ``points``, False for NaN; the clip stops overflow."""
+    return np.sum(np.clip(points, -1.0, 1.0) ** 2, axis=1) < 1.0
+
+
 def interior_grid(m: int) -> InteriorGrid:
     """Keep the points of the m-by-m lattice on [-1, 1]^2 that lie inside the disk.
 
@@ -81,5 +86,4 @@ def interior_grid(m: int) -> InteriorGrid:
         raise ValueError(f"grid size must be at least 2, got {m}")
     coords = np.arange(m) * (2.0 / (m - 1)) - 1.0
     points = np.column_stack([np.tile(coords, m), np.repeat(coords, m)])
-    inside = points[:, 0] ** 2 + points[:, 1] ** 2 < 1.0
-    return InteriorGrid(points[inside])
+    return InteriorGrid(points[_in_open_disk(points)])

@@ -12,9 +12,11 @@ panels (J. L. Hess and A. M. O. Smith, Prog. Aerospace Sci. 8, 1967): on each
 chord they reduce to ln r^2 at its two ends and the angle it subtends at p,
 weighted by polynomials of degree 2 in p.  So a point costs one log per node
 and one arctan2 per chord, contracted with coefficients built once per
-solution; no quadrature rule is involved.  p must lie strictly inside every
-chord's half-plane, so no integral is singular; points within half an element
-length, sin(pi/n), of the unit circle are flagged.
+solution; no quadrature rule is involved.  Each chord's angle lies in (0, 2 pi),
+so the sums continue harmonically across the open chords (R. Kress, *Linear
+Integral Equations*, 3rd ed., ch. 6) into the lenses between polygon and circle.
+Only mesh nodes and points outside the open unit disk, by ``interior_grid``'s
+test, are refused; points within sin(pi/n) of the unit circle are flagged.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import BemSystem
-from .geometry import BoundaryMesh, InteriorGrid
+from .geometry import BoundaryMesh, InteriorGrid, _in_open_disk
 from .kernels import _FLUX_SCALE, _POTENTIAL_SCALE
 from .problems import TestProblem
 from .quadrature import QuadratureRule
@@ -64,7 +66,7 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundarySolution:
-    """Nodal Dirichlet data and the solved nodal fluxes on a mesh."""
+    """Nodal Dirichlet data and the solved nodal fluxes on a mesh, both read-only."""
 
     mesh: BoundaryMesh
     u_nodes: np.ndarray
@@ -149,6 +151,7 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
             f"solve residual {residual:.3e} exceeds {bound:.3e}",
             smallest_pivot=smallest,
         )
+    q.setflags(write=False)
     return BoundarySolution(system.mesh, system.u_nodes, q)
 
 
@@ -169,7 +172,7 @@ def _layer_coefficients(solution: BoundarySolution):
         u(p) = sum_j l_j Re(Phi_b[j-1] - Phi_a[j]) + sum_e theta_e (uf_a[e] - 2 Im Phi_a[e])
                - sum_e Re(beta L conj(tau) p) - L sum_e (qf_a + qf_b),
 
-    with l_j = ln r^2 at node j and theta_e the angle chord e subtends at p.
+    with l_j = ln r^2 at node j and theta_e in (0, 2 pi) the angle chord e subtends at p.
     (Each chord's midpoint lies at -i cos(phi) in its frame, so the midpoint
     term of the integrals is imaginary and drops.)  Every coefficient is a
     complex polynomial of degree 2 in p, so its real part is one column in the
@@ -209,9 +212,8 @@ def _layer_coefficients(solution: BoundarySolution):
 def _block_values(layers, sources: np.ndarray, work) -> np.ndarray:
     """u at the (B, 2) ``sources`` from the exact integrals over every chord.
 
-    The cross product of the offsets to a chord's ends is L * delta, so its sign
-    is the half-plane test; then one arctan2 per chord and one log per node, all
-    in the first B rows of the ``work`` arrays.
+    One arctan2 per chord, plus 2 pi where the cross product's sign bit is set,
+    and one log per node (a mesh node is refused), in the first B rows of ``work``.
     """
     coefficients, constants, closed = layers
     n = closed.shape[1] - 1
@@ -221,17 +223,17 @@ def _block_values(layers, sources: np.ndarray, work) -> np.ndarray:
     np.subtract(closed[1], sources[:, 1:], out=dy)
     np.multiply(dx[:, :-1], dy[:, 1:], out=cross)
     cross -= np.multiply(dy[:, :-1], dx[:, 1:], out=ell)
-    # strictly inside every chord's half-plane, written so that NaN fails
-    inside = np.all(cross > 0.0, axis=1)
-    if not np.all(inside):
-        point = sources[np.argmin(inside)].tolist()
-        raise ValueError(f"point {point} is not strictly inside the boundary polygon")
     np.multiply(dx[:, :-1], dx[:, 1:], out=theta)
     theta += np.multiply(dy[:, :-1], dy[:, 1:], out=ell)
     np.arctan2(cross, theta, out=theta)
+    # signbit, not cross < 0: a point on a chord may have cross = -0.0, where arctan2 gives -pi
+    np.add(theta, 2.0 * np.pi, out=theta, where=np.signbit(cross))
     dx *= dx
     dy *= dy
-    np.log(np.add(dx[:, :-1], dy[:, :-1], out=cross), out=ell)
+    if not np.add(dx[:, :-1], dy[:, :-1], out=cross).min() > 0.0:
+        point = sources[np.argmin(np.all(cross > 0.0, axis=1))].tolist()
+        raise ValueError(f"point {point} is a node of the boundary mesh")
+    np.log(cross, out=ell)
     # each reduction runs over one point's nodes and chords, so no value depends on its block
     terms = np.einsum("bn,mn->bm", kernels, coefficients) + constants
     x, y = sources[:, 0], sources[:, 1]
@@ -247,6 +249,9 @@ def _represent(solution: BoundarySolution, points: np.ndarray) -> np.ndarray:
     The blocks share one workspace: a fresh (B, n) array per block would be
     page-faulted in again each time.
     """
+    if not np.all(inside := _in_open_disk(points)):
+        point = points[np.argmin(inside)].tolist()
+        raise ValueError(f"point {point} is not strictly inside the unit circle")
     layers = _layer_coefficients(solution)
     n = solution.mesh.n
     block = max(1, min(len(points), _BLOCK_PAIRS // n))
@@ -258,7 +263,7 @@ def _represent(solution: BoundarySolution, points: np.ndarray) -> np.ndarray:
 
 
 def evaluate_interior(solution: BoundarySolution, point, rule: QuadratureRule) -> float:
-    """Evaluate the representation at one point strictly inside the boundary polygon.
+    """Evaluate the representation at one point of the open unit disk, not a mesh node.
 
     ``rule`` is not read: the chord integrals are exact, so K is the order of assembly only.
     """

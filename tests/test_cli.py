@@ -288,15 +288,20 @@ def test_convergence_mode_runs_one_solve_case_per_solve(tmp_path, monkeypatch):
         assert rows == sorted(int(n) for n in n_list.split(","))
 
 
-def test_a_failed_convergence_row_is_reported_and_left_out(tmp_path, capsys):
-    # the triangle leaves lattice points outside it, so the n=3 row fails
+def test_a_failed_convergence_row_is_reported_and_left_out(tmp_path, monkeypatch, capsys):
+    # the study's own solve_case fails at n=3; the run's solve at n=30 goes on
+    def failing(problem, n, grid, rule):
+        if n == 3:
+            raise ValueError("evaluation refused at n=3")
+        return real(problem, n, grid, rule)
+
+    real = diskbem.analysis.solve_case
+    monkeypatch.setattr(diskbem.analysis, "solve_case", failing)
     out = tmp_path / "out"
     argv = ["--problem", "2", "--mode", "convergence", "--n-list", "3,30"]
     assert main([*argv, "--output-dir", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("convergence row n=3 failed: ")
-    assert err[0].endswith("not strictly inside the boundary polygon")
+    assert err == ["convergence row n=3 failed: evaluation refused at n=3"]
     lines = (out / "convergence.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["30"]
     failed = json.loads((out / "report.json").read_text())["convergence"][0]
@@ -366,14 +371,20 @@ def test_evaluation_failure_exits_one(tmp_path, monkeypatch, capsys):
     assert "interior evaluation exploded" in capsys.readouterr().err
 
 
-def test_points_outside_the_boundary_polygon_exit_one(tmp_path, capsys):
-    # the 11-point lattice keeps points beyond the chords of the square
+def test_points_between_the_square_and_the_circle_are_evaluated(tmp_path, capsys):
+    # the 11-point lattice keeps points beyond the chords of the square; they
+    # get the harmonic continuation of its field, and are flagged
     out = tmp_path / "out"
     argv = ["--problem", "1", "--boundary-nodes", "4", "--interior-grid", "11"]
-    code = main([*argv, "--output-dir", str(out)])
-    assert code == 1
-    assert "is not strictly inside the boundary polygon" in capsys.readouterr().err
-    assert not out.exists()
+    assert main([*argv, "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == ["boundary_flux.csv", "interior.csv", "report.json"]
+    rows = np.loadtxt(out / "interior.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows[:, 3]))
+    beyond = np.flatnonzero(np.abs(rows[:, 1]) + np.abs(rows[:, 2]) > 1.0) + 1
+    assert len(beyond) > 0
+    flagged = json.loads((out / "report.json").read_text())["near_boundary_points"]
+    assert set(beyond.tolist()) <= set(flagged)
 
 
 def test_unusable_output_dir_exits_one_before_any_compute(tmp_path, monkeypatch, capsys):
