@@ -10,12 +10,15 @@ the single- minus the double-layer potential of the linear densities q and u
 on the chords.  Both are integrated exactly, in the closed forms for straight
 panels (J. L. Hess and A. M. O. Smith, Prog. Aerospace Sci. 8, 1967): on each
 chord they reduce to ln r^2 at its two ends and the angle it subtends at p,
-weighted by polynomials of degree 2 in p.  So a point costs one log per node
-and one arctan2 per chord, contracted with coefficients built once per
-solution; no quadrature rule is involved.  Each chord's angle lies in (0, 2 pi),
-so the sums continue harmonically across the open chords (R. Kress, *Linear
-Integral Equations*, 3rd ed., ch. 6) into the lenses between polygon and circle.
-Only mesh nodes and points outside the open unit disk, by ``interior_grid``'s
+weighted by polynomials of degree 2 in p.  So a point costs n+1 logs and n+1
+angles, contracted with coefficients built once per solution; no quadrature
+rule is involved.  Each point's row holds its nodes 0..n with node 0 repeated,
+and a block of rows is swept as one flat array, so the (n+1)-th log repeats
+node 0's and the (n+1)-th angle pairs node n with the next point's node 0;
+both have weight zero.  Each chord's angle lies in (0, 2 pi), so the sums
+continue harmonically across the open chords (R. Kress, *Linear Integral
+Equations*, 3rd ed., ch. 6) into the lenses between polygon and circle.  Only
+mesh nodes and points outside the open unit disk, by ``interior_grid``'s
 test, are refused; points within sin(pi/n) of the unit circle are flagged.
 """
 
@@ -156,9 +159,10 @@ def solve_flux(system: BemSystem) -> BoundarySolution:
 
 
 def _layer_coefficients(solution: BoundarySolution):
-    """What ``_block_values`` needs of a solution: the (5, 2n) coefficients of
-    [ln r^2 at each node | angle of each chord], 5 constants, and the (2, n+1)
-    node coordinates with node 0 repeated.
+    """What ``_block_values`` needs of a solution: the (2, 5, n+1) coefficients
+    of ln r^2 at each node and of the angle of each chord, each half with a
+    zero last column for the pair that straddles two points' rows; 5
+    constants; and the (2, n+1) node coordinates with node 0 repeated.
 
     Every chord is chord 0 rotated.  With phi = pi/n, chord e from node a to
     node b has length L = 2 sin(phi), and its frame w = (zeta - p) conj(tau),
@@ -196,13 +200,13 @@ def _layer_coefficients(solution: BoundarySolution):
     kappa = qf_next + u_slope
     end0, end1 = w0 * (kappa - 0.5 * beta * w0), conj_tangent * (beta * w0 - kappa)
     phi2 = -0.5 * beta * conj_tangent * conj_tangent
-    coefficients = np.empty((5, 2 * n))
-    for column, (c0, c1, c2) in (
-        (slice(0, n), (np.roll(end0, 1) - start0, np.roll(end1, 1) - start1, np.roll(phi2, 1) - phi2)),
-        (slice(n, None), (uf + 2j * start0, 2j * start1, 2j * phi2)),
-    ):
+    coefficients = np.zeros((2, 5, n + 1))
+    for half, (c0, c1, c2) in zip(coefficients, (
+        (np.roll(end0, 1) - start0, np.roll(end1, 1) - start1, np.roll(phi2, 1) - phi2),
+        (uf + 2j * start0, 2j * start1, 2j * phi2),
+    )):
         # Re(c0 + c1 p + c2 p^2) in the basis 1, x, y, x^2 - y^2, 2xy
-        coefficients[:, column] = c0.real, c1.real, -c1.imag, c2.real, -c2.imag
+        half[:, :n] = c0.real, c1.real, -c1.imag, c2.real, -c2.imag
     c1 = -length * np.sum(beta * conj_tangent)
     constants = np.array([-length * np.sum(qf + qf_next), c1.real, -c1.imag, 0.0, 0.0])
     closed = np.append(mesh.nodes, mesh.nodes[:1], axis=0).T.copy()
@@ -212,30 +216,42 @@ def _layer_coefficients(solution: BoundarySolution):
 def _block_values(layers, sources: np.ndarray, work) -> np.ndarray:
     """u at the (B, 2) ``sources`` from the exact integrals over every chord.
 
-    One arctan2 per chord, plus 2 pi where the cross product's sign bit is set,
-    and one log per node (a mesh node is refused), in the first B rows of ``work``.
+    Row b of each (B, n+1) buffer in ``work`` holds point b's nodes 0..n, node 0
+    repeated, and every pass sweeps the B(n+1) floats as one flat array, the
+    products of neighbouring nodes included.  So a point takes n+1 logs and
+    n+1 angles: arctan2, plus 2 pi where the cross product's sign bit is set.
+    The pair that straddles two rows, node n of one point and node 0 of the
+    next, has weight zero.  A mesh node is refused.
     """
     coefficients, constants, closed = layers
-    n = closed.shape[1] - 1
-    dx, dy, cross, kernels = (array[: len(sources)] for array in work)
-    ell, theta = kernels[:, :n], kernels[:, n:]
+    dx, dy, cross, theta, ell = (array[: len(sources)] for array in work)
     np.subtract(closed[0], sources[:, :1], out=dx)
     np.subtract(closed[1], sources[:, 1:], out=dy)
-    np.multiply(dx[:, :-1], dy[:, 1:], out=cross)
-    cross -= np.multiply(dy[:, :-1], dx[:, 1:], out=ell)
-    np.multiply(dx[:, :-1], dx[:, 1:], out=theta)
-    theta += np.multiply(dy[:, :-1], dy[:, 1:], out=ell)
+    # each node a and its successor b across the flat buffers; reshape(-1) of
+    # a C-contiguous prefix is a view, so the products write into the buffers
+    dx_flat, dy_flat = dx.reshape(-1), dy.reshape(-1)
+    dx_a, dx_b, dy_a, dy_b = dx_flat[:-1], dx_flat[1:], dy_flat[:-1], dy_flat[1:]
+    c, t, scratch = (array.reshape(-1)[:-1] for array in (cross, theta, ell))
+    np.multiply(dx_a, dy_b, out=c)
+    c -= np.multiply(dy_a, dx_b, out=scratch)
+    np.multiply(dx_a, dx_b, out=t)
+    t += np.multiply(dy_a, dy_b, out=scratch)
+    # the last row's straddling slot has no next point and holds stale
+    # workspace; zero weight times a NaN there would still be NaN
+    cross[-1, -1], theta[-1, -1] = 0.0, 1.0
     np.arctan2(cross, theta, out=theta)
     # signbit, not cross < 0: a point on a chord may have cross = -0.0, where arctan2 gives -pi
     np.add(theta, 2.0 * np.pi, out=theta, where=np.signbit(cross))
     dx *= dx
     dy *= dy
-    if not np.add(dx[:, :-1], dy[:, :-1], out=cross).min() > 0.0:
-        point = sources[np.argmin(np.all(cross > 0.0, axis=1))].tolist()
+    if not np.add(dx, dy, out=cross).min() > 0.0:
+        point = sources[cross.argmin() // cross.shape[1]].tolist()
         raise ValueError(f"point {point} is a node of the boundary mesh")
     np.log(cross, out=ell)
-    # each reduction runs over one point's nodes and chords, so no value depends on its block
-    terms = np.einsum("bn,mn->bm", kernels, coefficients) + constants
+    # each reduction runs over one point's nodes, so no value depends on its block
+    terms = np.einsum("bn,mn->bm", ell, coefficients[0])
+    terms += np.einsum("bn,mn->bm", theta, coefficients[1])
+    terms += constants
     x, y = sources[:, 0], sources[:, 1]
     return (
         terms[:, 0] + x * terms[:, 1] + y * terms[:, 2]
@@ -246,7 +262,7 @@ def _block_values(layers, sources: np.ndarray, work) -> np.ndarray:
 def _represent(solution: BoundarySolution, points: np.ndarray) -> np.ndarray:
     """u at each row of the (P, 2) ``points``, one ``_block_values`` call per block.
 
-    The blocks share one workspace: a fresh (B, n) array per block would be
+    The blocks share one workspace: fresh (B, n+1) arrays per block would be
     page-faulted in again each time.
     """
     if not np.all(inside := _in_open_disk(points)):
@@ -255,7 +271,7 @@ def _represent(solution: BoundarySolution, points: np.ndarray) -> np.ndarray:
     layers = _layer_coefficients(solution)
     n = solution.mesh.n
     block = max(1, min(len(points), _BLOCK_PAIRS // n))
-    work = tuple(np.empty((block, width)) for width in (n + 1, n + 1, n, 2 * n))
+    work = tuple(np.empty((block, n + 1)) for _ in range(5))
     values = np.empty(len(points))
     for start in range(0, len(points), block):
         values[start : start + block] = _block_values(layers, points[start : start + block], work)

@@ -1,6 +1,7 @@
 """Flux solve, interior evaluation, and solution-level invariants."""
 
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,6 +200,14 @@ def test_a_mesh_node_is_refused(solution30, rule8):
         evaluate_interior(solution30, node, rule8)
 
 
+def test_a_mesh_node_among_other_points_is_refused_by_its_coordinates(solution30, problem1, rule8):
+    # the node's row is recovered from the flat buffer it is found in
+    node = solution30.mesh.nodes[1]
+    grid = InteriorGrid([(0.0, 0.0), (0.5, 0.1), node, (-0.3, 0.2)])
+    with pytest.raises(ValueError, match=re.escape(f"point {node.tolist()} is a node")):
+        evaluate_field(solution30, grid, problem1, rule8)
+
+
 def test_points_between_polygon_and_circle_get_finite_flagged_values(problem1, rule8):
     # on the ray through the midpoint of element n-1, r = 0.9999 lies beyond
     # the chord of the 120-gon (apothem 0.99966) but inside the unit circle
@@ -306,7 +315,8 @@ def _chord_frames(mesh):
 def _near_chord_case(n):
     """40 points at each depth h/2, h/10 and h/50 below random chords of the
     n-gon (h the chord length), within 90% of the half-length, then 40 with
-    |p| < 0.9; and the composite-Gauss element rows at each."""
+    |p| < 0.9; and the composite-Gauss element rows at each, taken with the
+    point as the origin as in ``_lens_case``."""
     mesh = discretize_circle(n)
     rng = np.random.default_rng(n)
     mid, half, inward, length = _chord_frames(mesh)
@@ -318,13 +328,14 @@ def _near_chord_case(n):
     radius, angle = 0.9 * np.sqrt(rng.uniform(size=40)), rng.uniform(0.0, 2.0 * np.pi, 40)
     groups.append(np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
     points = np.concatenate(groups)
-    return points, np.array([composite_element_rows(mesh.nodes, point) for point in points])
+    rows = [composite_element_rows(mesh.nodes - point, (0.0, 0.0)) for point in points]
+    return points, np.array(rows)
 
 
 @pytest.mark.parametrize("n", [7, 30, 120, 480])
 @pytest.mark.parametrize("pid", [1, 2, 3, 4, 5])
 def test_values_near_a_chord_match_a_composite_reference(pid, n, rule8):
-    # measured: at most 8.3e-16, 1.1e-14, 9.0e-15 and 1.5e-14 max|u| at n = 7,
+    # measured: at most 6.5e-16, 6.9e-15, 8.3e-15 and 1.0e-14 max|u| at n = 7,
     # 30, 120 and 480; Gauss-8 was off by up to 0.88 max|u| at depth h/50.
     # n = 7 is odd, so its nodes do not come in antipodal pairs
     problem = get_problem(pid)
@@ -417,9 +428,11 @@ def test_a_point_gets_the_same_value_in_any_block(problem1, rule8):
         assert evaluate_interior(solution, point, rule8) == report.u_bem[k]
 
 
-@pytest.mark.parametrize("n, m", [(60, 41), (120, 101)])
+@pytest.mark.parametrize("n, m", [(15, 41), (60, 41), (120, 101), (1500, 11)])
 def test_u_bem_is_bitwise_equal_for_any_block_size(monkeypatch, n, m, problem1, rule8):
-    # one point per block and one block of every point sum in the same order
+    # one point per block and one block of every point sum in the same order;
+    # the pair that straddles two rows, weighted zero, ends every row but a
+    # block's last, at odd n = 15 as at even n, and in the 5-point blocks of n = 1500
     solution = solve_flux(assemble(discretize_circle(n), problem1, rule8))
     grid = interior_grid(m)
     reference = evaluate_field(solution, grid, problem1, rule8).u_bem
